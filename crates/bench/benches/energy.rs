@@ -32,7 +32,6 @@ fn bench_mesh_gather_energy(c: &mut Criterion) {
                 memif: Default::default(),
                 buffer_depth: 2,
                 max_cycles: 1 << 30,
-                threads: 1,
             };
             let mut mesh = load_gather_energy(cfg, 32);
             let res = mesh.run().unwrap();

@@ -25,7 +25,6 @@ use sim_core::collective::Collective;
 struct Row {
     /// `collective:<op>[<fabric>,<geometry>]`, the perf-gate key.
     policy: String,
-    threads: usize,
     /// Participants in the collective.
     participants: u64,
     /// Payload words per node per block.
@@ -42,7 +41,6 @@ struct Row {
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("collectives");
-    let threads = ex.threads();
     let (geoms, words) = if ex.quick() {
         (vec![(4, 4, false), (8, 2, false), (4, 4, true)], 4)
     } else {
@@ -57,7 +55,6 @@ fn main() -> Result<(), BenchError> {
             height,
             torus,
             words,
-            threads,
         };
         let geom = spec.topology().label();
         for collective in Collective::ALL {
@@ -68,7 +65,6 @@ fn main() -> Result<(), BenchError> {
             let wall_s = t0.elapsed().as_secs_f64();
             rows.push(Row {
                 policy: format!("collective:{}[mesh,{geom}]", collective.label()),
-                threads,
                 participants: mesh.participants,
                 words,
                 cycles: mesh.cycles,
@@ -87,7 +83,6 @@ fn main() -> Result<(), BenchError> {
                 let wall_s = t0.elapsed().as_secs_f64();
                 rows.push(Row {
                     policy: format!("collective:{}[sca,{}]", collective.label(), sca.geometry),
-                    threads,
                     participants: sca.participants,
                     words,
                     cycles: sca.cycles,

@@ -3,8 +3,8 @@
 //! differentially against the cycle-accurate fabrics, with every comparison
 //! recorded as a perf-gate-compatible row.
 //!
-//! Each check produces a [`CheckRow`] whose `(policy, threads)` pair is a
-//! unique gate key (`"crosscheck:<check>[<point>]"`), whose `cycles` field
+//! Each check produces a [`CheckRow`] whose `policy` is a unique gate key
+//! (`"crosscheck:<check>[<point>]"`), whose `cycles` field
 //! is a deterministic integer witness of the measured quantity (so the
 //! goldens-freshness and perf-gate byte/equality diffs catch any numeric
 //! drift), and whose `cycles_per_s` is the only wall-clock-dependent field
@@ -108,7 +108,7 @@ pub fn envelope_catalog() -> Vec<ValidationEnvelope> {
 }
 
 /// One model-vs-simulator comparison, shaped to double as a perf-gate row:
-/// `perf_gate.py` keys on `(policy, threads)`, requires `cycles` equality,
+/// `perf_gate.py` keys on `policy`, requires `cycles` equality,
 /// and ratio-checks `cycles_per_s`.
 #[derive(Debug, Clone, Serialize)]
 pub struct CheckRow {
@@ -116,8 +116,6 @@ pub struct CheckRow {
     /// these rows disjoint from the `perf_mesh` policies in the shared
     /// baseline file.
     pub policy: String,
-    /// Always 1: the checks are single-threaded by construction.
-    pub threads: usize,
     /// Deterministic integer witness of the measured quantity (simulated
     /// cycles, bus slots, or a fixed-point encoding of a closed form).
     pub cycles: u64,
@@ -157,7 +155,6 @@ pub fn check(
     };
     CheckRow {
         policy: format!("crosscheck:{name}[{point}]"),
-        threads: 1,
         cycles,
         cycles_per_s: cycles as f64 / wall_s.max(1e-9),
         point: point.to_string(),

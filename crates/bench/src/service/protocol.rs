@@ -307,7 +307,6 @@ mod tests {
                 spec: JobSpec::Table3(Table3Spec {
                     procs: 16,
                     row_len: 8,
-                    threads: 1
                 }),
                 timeout_s: Some(2.5),
                 tag: Some("ci".to_string()),

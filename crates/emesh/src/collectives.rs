@@ -278,7 +278,6 @@ mod tests {
             memif: Default::default(),
             buffer_depth: 2,
             max_cycles: 1 << 24,
-            threads: 1,
         }
     }
 

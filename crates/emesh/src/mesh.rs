@@ -30,18 +30,13 @@
 //! wakeup). This preserves the heap scheduler's exact (cycle, insertion)
 //! service order — enforced bit-for-bit by the golden transpose tests —
 //! while skipping most of its queue traffic.
-
-//! A deterministic *epoch-parallel* mode (DESIGN.md §11) partitions each
-//! cycle's service list into conflict-free waves and fans them across an
-//! [`sim_core::parallel::EpochPool`]; it is selected by
-//! [`MeshConfig::with_threads`] and is bit-identical to single-threaded
-//! execution — enforced by the same golden tests. Both run on one unified
-//! cycle loop (`mesh/exec.rs`): the sequential path *is* the parallel
-//! path's commit step, so faults, telemetry and latency tracking all work
-//! at any thread count with no fallback.
+//!
+//! The executor (`mesh/exec.rs`) is single-owner: one thread drives the
+//! cycle loop over `&mut Mesh`, with router state in a structure-of-arrays
+//! slab (`mesh/soa.rs`). Parallelism belongs at the sweep level, where
+//! independent mesh runs fan out across `rayon` (DESIGN.md §11).
 
 mod exec;
-mod par;
 mod soa;
 
 use std::collections::{BinaryHeap, VecDeque};
@@ -85,14 +80,6 @@ pub struct MeshConfig {
     pub buffer_depth: usize,
     /// Watchdog: abort after this many cycles.
     pub max_cycles: u64,
-    /// Worker threads for the deterministic epoch-parallel scheduler
-    /// (1 = single-threaded; see DESIGN.md §11). Every configuration —
-    /// faults, telemetry, latency tracking included — runs the same
-    /// unified loop bit-identically at any thread count, so results never
-    /// depend on this knob; it only trades wall clock. Requests beyond the
-    /// node count are clamped and reported in
-    /// [`MeshRunResult::warnings`].
-    pub threads: usize,
 }
 
 impl MeshConfig {
@@ -115,7 +102,6 @@ impl MeshConfig {
             memif: MemifConfig::default(),
             buffer_depth: crate::router::Router::BUFFER_DEPTH,
             max_cycles: 1 << 36,
-            threads: 1,
         }
     }
 
@@ -172,16 +158,6 @@ impl MeshConfig {
     #[must_use]
     pub fn with_max_cycles(mut self, max_cycles: u64) -> Self {
         self.max_cycles = max_cycles;
-        self
-    }
-
-    /// Set the worker-thread count for the deterministic epoch-parallel
-    /// scheduler (clamped to ≥ 1; 1 selects single-threaded execution).
-    /// Any value produces bit-identical results — threads only trade wall
-    /// clock.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 }
@@ -298,34 +274,6 @@ impl std::fmt::Display for MeshError {
 
 impl std::error::Error for MeshError {}
 
-/// A non-fatal condition the scheduler wants the caller to know about.
-/// Warnings are deterministic functions of the configuration (never of the
-/// host machine), so they are safe to include in golden fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RunWarning {
-    /// More worker threads were requested than the mesh has routers; the
-    /// run executed with one worker per router instead (extra workers
-    /// could never have a wave entry to service).
-    ThreadsExceedNodes {
-        /// Threads requested via [`MeshConfig::threads`].
-        requested: usize,
-        /// Routers in the mesh (= the thread count actually used).
-        nodes: usize,
-    },
-}
-
-impl std::fmt::Display for RunWarning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunWarning::ThreadsExceedNodes { requested, nodes } => write!(
-                f,
-                "requested {requested} threads for a {nodes}-router mesh; \
-                 clamped to {nodes}"
-            ),
-        }
-    }
-}
-
 /// Result of running a mesh workload to completion.
 #[derive(Debug, Clone)]
 pub struct MeshRunResult {
@@ -348,9 +296,6 @@ pub struct MeshRunResult {
     pub router_forwards: Vec<u64>,
     /// Fault-layer counters, if a fault layer was attached.
     pub faults: Option<MeshFaultStats>,
-    /// Non-fatal scheduler warnings (e.g. a clamped thread count). Always
-    /// deterministic for a given configuration.
-    pub warnings: Vec<RunWarning>,
 }
 
 #[derive(PartialEq, Eq)]
@@ -514,13 +459,9 @@ pub struct Mesh {
     /// the cycle it changed.
     progress_metric: u64,
     progress_cycle: u64,
-    /// Warnings accumulated by the current run (cleared at run start).
-    run_warnings: Vec<RunWarning>,
-    /// Cooperative interrupt, polled once per serviced cycle on the master
-    /// loop (which both the sequential path and the epoch-parallel waves
-    /// run through). `None` (the default) costs one branch per serviced
-    /// cycle and keeps the run bit-identical to a build without the
-    /// feature.
+    /// Cooperative interrupt, polled once per serviced cycle. `None` (the
+    /// default) costs one branch per serviced cycle and keeps the run
+    /// bit-identical to a build without the feature.
     interrupt: Option<Interrupt>,
 }
 
@@ -582,7 +523,6 @@ impl Mesh {
             telemetry: None,
             progress_metric: 0,
             progress_cycle: 0,
-            run_warnings: Vec::new(),
             interrupt: None,
         }
     }
@@ -798,15 +738,6 @@ impl Mesh {
 
     /// Drive the simulation until all traffic drains. Returns completion
     /// cycle and statistics.
-    ///
-    /// One unified cycle loop serves every configuration (`mesh/exec.rs`):
-    /// with [`MeshConfig::threads`] > 1 dense cycles fan out across the
-    /// deterministic epoch-parallel scheduler (DESIGN.md §11), and sparse
-    /// cycles run inline on the master — bit-identically to a
-    /// single-threaded run in all cases, faults, telemetry and latency
-    /// tracking included. Non-fatal scheduler conditions (e.g. a thread
-    /// count clamped to the node count) are reported in
-    /// [`MeshRunResult::warnings`].
     pub fn run(&mut self) -> Result<MeshRunResult, MeshError> {
         self.run_core()
     }
@@ -848,7 +779,6 @@ impl Mesh {
             latency: self.latency.clone(),
             router_forwards: self.router_forwards.clone(),
             faults: self.faults.as_ref().map(|fl| fl.stats),
-            warnings: self.run_warnings.clone(),
         })
     }
 
@@ -956,9 +886,8 @@ impl Mesh {
 }
 
 /// Schedule a wakeup for `router` at `cycle`, deduplicating at push time.
-/// Free function so the epoch-parallel effect replay (which holds the
-/// router state behind a disjoint borrow) shares the exact dedup rule with
-/// [`Mesh::wake`].
+/// Free function so the executor's scheduler-state borrow (disjoint from
+/// the router state) shares the exact dedup rule with [`Mesh::wake`].
 fn wake_raw(wheel: &mut WakeWheel, next_wake: &mut [u64], router: u32, cycle: u64) {
     let ri = router as usize;
     if next_wake[ri] == cycle {
@@ -1001,7 +930,6 @@ mod tests {
             memif: MemifConfig::default(),
             buffer_depth: 2,
             max_cycles: 1 << 24,
-            threads: 1,
         }
     }
 

@@ -190,7 +190,6 @@ mod tests {
             memif: Default::default(),
             buffer_depth: 2,
             max_cycles: 1 << 24,
-            threads: 1,
         };
         let mut mesh = load_scatter(cfg, 16, 1);
         let res = mesh.run().unwrap();
@@ -216,7 +215,6 @@ mod tests {
             memif: Default::default(),
             buffer_depth: 2,
             max_cycles: 1 << 24,
-            threads: 1,
         };
         let mut mesh = load_gather_energy(cfg, 32);
         let res = mesh.run().unwrap();
@@ -236,7 +234,6 @@ mod tests {
             memif: Default::default(),
             buffer_depth: 2,
             max_cycles: 1 << 24,
-            threads: 1,
         };
         let run = || {
             let (mut mesh, injected) = load_uniform_random(cfg, 8, 3, 42);
@@ -265,7 +262,6 @@ mod tests {
             memif: Default::default(),
             buffer_depth: 2,
             max_cycles: 1 << 24,
-            threads: 1,
         };
         let spread = {
             let (mut m, _) = load_uniform_random(cfg, 16, 1, 7);

@@ -16,7 +16,6 @@ fn cfg(policy: RoutingPolicy) -> MeshConfig {
         memif: MemifConfig::default(),
         buffer_depth: 2,
         max_cycles: 1 << 24,
-        threads: 1,
     }
 }
 

@@ -20,9 +20,6 @@
 //! * [`telemetry`] — opt-in metric registry (counters/gauges/histograms with
 //!   labels) and span tracing with Chrome trace-event JSON export; a fabric
 //!   with no registry attached does no telemetry work on its hot path.
-//! * [`parallel`] — epoch-synchronous worker pool ([`parallel::EpochPool`])
-//!   and deterministic partitioner for the barrier-synchronous parallel
-//!   execution modes of the fabric simulators.
 //! * [`collective`] — the shared collective-operation vocabulary
 //!   ([`collective::Collective`]): labels and phase names both fabrics'
 //!   all-to-all / all-gather / all-reduce traffic generators agree on.
@@ -46,7 +43,6 @@ pub mod engine;
 pub mod event;
 pub mod faults;
 pub mod invariants;
-pub mod parallel;
 pub mod rng;
 pub mod stats;
 pub mod telemetry;
@@ -58,7 +54,6 @@ pub use collective::Collective;
 pub use engine::CycleEngine;
 pub use event::{EventQueue, EventScheduled};
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
-pub use parallel::{chunk_range, EpochPool};
 pub use stats::{Counter, Histogram, TimeWeighted};
 pub use telemetry::{Registry, SeriesHistogram, TraceEvent};
 pub use time::{Duration, Time};
@@ -71,7 +66,6 @@ pub mod prelude {
     pub use crate::engine::CycleEngine;
     pub use crate::event::{EventQueue, EventScheduled};
     pub use crate::faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
-    pub use crate::parallel::{chunk_range, EpochPool};
     pub use crate::stats::{Counter, Histogram, TimeWeighted};
     pub use crate::telemetry::{Registry, SeriesHistogram, TraceEvent};
     pub use crate::time::{Duration, Time};

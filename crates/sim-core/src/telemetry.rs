@@ -120,8 +120,7 @@ impl SeriesHistogram {
     /// Fold another histogram into this one. Exact, not approximate: every
     /// aggregate this type maintains (bucket counts, count, sum, min, max)
     /// is commutative and associative, so merging per-worker shards yields
-    /// byte-identical state to recording every sample into one histogram —
-    /// the property the parallel mesh telemetry path relies on.
+    /// byte-identical state to recording every sample into one histogram.
     pub fn merge(&mut self, other: &SeriesHistogram) {
         if other.count == 0 {
             return;

@@ -24,7 +24,6 @@ fn mesh_scatter_sim_tracks_eq21() {
             memif: Default::default(),
             buffer_depth: 2,
             max_cycles: 1 << 30,
-            threads: 1,
         };
         let mut mesh = load_scatter(cfg, block, 1);
         let res = mesh.run().unwrap();
@@ -74,7 +73,6 @@ fn mesh_scatter_sim_tracks_eq21_dims_on_rect_and_torus() {
             memif: Default::default(),
             buffer_depth: 2,
             max_cycles: 1 << 30,
-            threads: 1,
         };
         let mut mesh = load_scatter(cfg, 64, 1);
         let res = mesh.run().unwrap();

@@ -119,7 +119,6 @@ proptest! {
             memif: Default::default(),
             buffer_depth: 2,
             max_cycles: 1 << 22,
-            threads: 1,
         };
         let mut mesh = Mesh::new(cfg);
         mesh.collect_sink_words(true);
