@@ -22,14 +22,13 @@
 //! Wakeups live in a bucketed timing wheel (`WakeWheel`): near-future
 //! cycles map to a ring of per-cycle vectors (push/pop are O(1) appends in
 //! insertion order), far-future cycles spill to a small overflow heap.
-//! Redundant wakeups are suppressed at *push* time via a per-router
-//! `next_wake` array: a wake for router `r` at cycle `c` is dropped when a
-//! wake at some cycle ≤ `c` is already pending, because servicing `r` at
-//! the earlier cycle re-derives every later wake condition (a still-future
-//! `ready_at`, a busy reorder unit, a held channel each re-arm their own
-//! wakeup). This preserves the heap scheduler's exact (cycle, insertion)
-//! service order — enforced bit-for-bit by the golden transpose tests —
-//! while skipping most of its queue traffic.
+//! Redundant wakeups are suppressed at *push* time by membership bits the
+//! wheel keeps per router, one per in-window bucket: a wake for router `r`
+//! at cycle `c` is dropped when `r` already has an entry in `c`'s bucket.
+//! Such a duplicate could only ever sit *behind* the entry that services
+//! `r` at `c` and pop as a no-op, so dropping it leaves the heap
+//! scheduler's exact (cycle, insertion) service order intact — enforced
+//! bit-for-bit by the golden transpose and observable-digest tests.
 //!
 //! The executor (`mesh/exec.rs`) is single-owner: one thread drives the
 //! cycle loop over `&mut Mesh`, with router state in a structure-of-arrays
@@ -51,8 +50,8 @@ use crate::energy::EnergyCounters;
 use crate::faults::{FaultLayer, MeshDiagnostic, MeshFaultConfig, MeshFaultStats};
 use crate::flit::{Flit, Packet};
 use crate::memif::{MemIf, MemifConfig, MemifStats};
-use crate::router::NUM_PORTS;
-use crate::topology::Topology;
+use crate::router::{Port, NUM_PORTS};
+use crate::topology::{NodeCoord, Topology};
 
 /// Routing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -332,8 +331,14 @@ impl PartialOrd for Wake {
 /// the *front* of their bucket on arrival; front is correct because the
 /// cursor is monotone, so every overflow push for a cycle predates every
 /// direct push for it.
+///
+/// A push for a router that already has an entry in the target bucket is
+/// dropped (see the module docs for why that keeps the service order).
 struct WakeWheel {
     buckets: Vec<Vec<u32>>,
+    /// Per router, bit `b` is set while the router has an entry in bucket
+    /// `b`; draining the bucket clears it.
+    member: Vec<u64>,
     /// Cycle the wheel is positioned at; bucket `cursor % WINDOW` holds it.
     cursor: u64,
     /// Total entries across all buckets (not counting the overflow heap).
@@ -342,15 +347,19 @@ struct WakeWheel {
     seq: u64,
 }
 
+// One membership bit per bucket in a `u64`.
+const _: () = assert!(WakeWheel::WINDOW == u64::BITS as u64);
+
 impl WakeWheel {
-    /// Ring size in cycles. Power of two; must exceed the longest
-    /// self-rearm distance (`1 + max(t_r, t_p)` in practice — the overflow
-    /// heap keeps correctness for configs beyond it).
+    /// Ring size in cycles, one per bit of a membership word. Must exceed
+    /// the longest self-rearm distance (`1 + max(t_r, t_p)` in practice —
+    /// the overflow heap keeps correctness for configs beyond it).
     const WINDOW: u64 = 64;
 
-    fn new() -> Self {
+    fn new(routers: usize) -> Self {
         WakeWheel {
             buckets: (0..Self::WINDOW).map(|_| Vec::new()).collect(),
+            member: vec![0; routers],
             cursor: 0,
             bucket_pending: 0,
             overflow: BinaryHeap::new(),
@@ -358,10 +367,18 @@ impl WakeWheel {
         }
     }
 
+    /// Schedule a wakeup for `router` at `cycle`, dropping it if the router
+    /// already has an entry in `cycle`'s bucket.
     fn push(&mut self, router: u32, cycle: u64) {
         debug_assert!(cycle >= self.cursor, "wakeup in the past");
         if cycle - self.cursor < Self::WINDOW {
-            self.buckets[(cycle % Self::WINDOW) as usize].push(router);
+            let b = (cycle % Self::WINDOW) as usize;
+            let member = &mut self.member[router as usize];
+            if *member & (1 << b) != 0 {
+                return;
+            }
+            *member |= 1 << b;
+            self.buckets[b].push(router);
             self.bucket_pending += 1;
         } else {
             self.overflow.push(Wake {
@@ -401,17 +418,47 @@ impl WakeWheel {
             return;
         }
         let b = (c % Self::WINDOW) as usize;
+        let bit = 1u64 << b;
         let mut merged: Vec<u32> = Vec::new();
         while let Some(w) = self.overflow.peek() {
             debug_assert!(w.cycle >= c, "overflow entry skipped");
             if w.cycle != c {
                 break;
             }
-            merged.push(self.overflow.pop().expect("peeked").router);
+            let router = self.overflow.pop().expect("peeked").router;
+            self.member[router as usize] |= bit;
+            merged.push(router);
         }
         self.bucket_pending += merged.len() as u64;
         merged.append(&mut self.buckets[b]);
         self.buckets[b] = merged;
+    }
+
+    /// Take the entries of cycle `c`'s bucket for draining, in service
+    /// order, and clear their membership bits. Every wake pushed while
+    /// cycle `c` is serviced targets a cycle ≥ c + 1, so the bucket cannot
+    /// grow (or be reused — c + WINDOW is spilled to the overflow heap)
+    /// until [`WakeWheel::restore_bucket`] hands its allocation back.
+    fn take_bucket(&mut self, c: u64) -> Vec<u32> {
+        let b = (c % Self::WINDOW) as usize;
+        let ids = std::mem::take(&mut self.buckets[b]);
+        self.bucket_pending -= ids.len() as u64;
+        let bit = 1u64 << b;
+        for &r in &ids {
+            self.member[r as usize] &= !bit;
+        }
+        ids
+    }
+
+    /// Return a drained bucket's allocation to cycle `c`'s slot.
+    fn restore_bucket(&mut self, c: u64, mut ids: Vec<u32>) {
+        let b = (c % Self::WINDOW) as usize;
+        debug_assert!(
+            self.buckets[b].is_empty(),
+            "same-cycle wake pushed while draining"
+        );
+        ids.clear();
+        self.buckets[b] = ids;
     }
 }
 
@@ -420,11 +467,13 @@ pub struct Mesh {
     cfg: MeshConfig,
     /// All router port state, structure-of-arrays (see `mesh/soa.rs`).
     slab: soa::RouterSlab,
+    /// Neighbour through each port, flattened `router * NUM_PORTS + port`
+    /// ([`NO_NODE`] for the local port and off the mesh edge).
+    neighbors: Vec<u32>,
+    /// Coordinate of each node.
+    coords: Vec<NodeCoord>,
     /// Pre-flitted injection stream per node.
     inject: Vec<VecDeque<Flit>>,
-    last_inject: Vec<u64>,
-    /// Pop stamps, flattened `router * NUM_PORTS + port`.
-    last_pop: Vec<u64>,
     memif_slot: Vec<Option<u32>>,
     memifs: Vec<MemIf>,
     sink_delivered: Vec<u64>,
@@ -438,11 +487,9 @@ pub struct Mesh {
     latency: Option<Histogram>,
     wheel: WakeWheel,
     /// Last cycle each router was processed (a router runs at most once per
-    /// cycle; stale wheel entries pop as no-ops).
+    /// cycle; duplicate entries merged from the overflow heap pop as
+    /// no-ops, and a mid-run injection wakes a serviced router next cycle).
     processed_at: Vec<u64>,
-    /// Earliest pending wakeup per router ([`NEVER`] = none). Push-time
-    /// dedup: a wake at cycle ≥ this is redundant.
-    next_wake: Vec<u64>,
     in_flight: u64,
     pending_inject: u64,
     energy: EnergyCounters,
@@ -466,6 +513,9 @@ pub struct Mesh {
 }
 
 const NEVER: u64 = u64::MAX;
+
+/// Packed "no neighbour" in [`Mesh::neighbors`].
+const NO_NODE: u32 = u32::MAX;
 
 /// Serviced cycles between throttled flit-conservation audits (the audit
 /// is O(nodes); hot-site checks are O(1) every cycle).
@@ -499,10 +549,10 @@ impl Mesh {
         }
         Mesh {
             slab: soa::RouterSlab::new(n, cfg.buffer_depth),
+            neighbors: neighbor_table(&cfg.topology),
+            coords: (0..n as u32).map(|i| cfg.topology.coord(i)).collect(),
             cfg,
             inject: vec![VecDeque::new(); n],
-            last_inject: vec![NEVER; n],
-            last_pop: vec![NEVER; n * NUM_PORTS],
             memif_slot,
             memifs,
             sink_delivered: vec![0; n],
@@ -511,9 +561,8 @@ impl Mesh {
             collect_sink_words: false,
             inject_cycle: None,
             latency: None,
-            wheel: WakeWheel::new(),
+            wheel: WakeWheel::new(n),
             processed_at: vec![NEVER; n],
-            next_wake: vec![NEVER; n],
             in_flight: 0,
             pending_inject: 0,
             energy: EnergyCounters::default(),
@@ -643,7 +692,7 @@ impl Mesh {
         } else {
             self.now
         };
-        self.wake(node, at);
+        self.wheel.push(node, at);
         Ok(())
     }
 
@@ -655,10 +704,6 @@ impl Mesh {
     /// Payload words delivered to node sinks (only if collection enabled).
     pub fn sink_words(&self, node: u32) -> &[u64] {
         &self.sink_words[node as usize]
-    }
-
-    fn wake(&mut self, router: u32, cycle: u64) {
-        wake_raw(&mut self.wheel, &mut self.next_wake, router, cycle);
     }
 
     /// Flit conservation (DESIGN.md §12): `in_flight` counts exactly the
@@ -885,35 +930,33 @@ impl Mesh {
     }
 }
 
-/// Schedule a wakeup for `router` at `cycle`, deduplicating at push time.
-/// Free function so the executor's scheduler-state borrow (disjoint from
-/// the router state) shares the exact dedup rule with [`Mesh::wake`].
-fn wake_raw(wheel: &mut WakeWheel, next_wake: &mut [u64], router: u32, cycle: u64) {
-    let ri = router as usize;
-    if next_wake[ri] == cycle {
-        // A wake for this router at this exact cycle is already
-        // pending; the duplicate would pop as a no-op (the first entry
-        // services the router, `processed_at` skips the rest). Dropping
-        // *only* exact duplicates keeps every surviving entry at the
-        // seed scheduler's (cycle, insertion) position — a
-        // stronger-looking "skip if any earlier wake is pending" rule
-        // re-pushes the pair later and reorders same-cycle service.
-        return;
+/// The neighbour of every node through every port, flattened
+/// `node * NUM_PORTS + port`: wrapping on a torus, [`NO_NODE`] off a mesh
+/// edge and for the local port.
+fn neighbor_table(t: &Topology) -> Vec<u32> {
+    let (w, h) = (t.width, t.height);
+    let mut table = vec![NO_NODE; t.nodes() * NUM_PORTS];
+    for node in 0..t.nodes() as u32 {
+        let NodeCoord { x, y } = t.coord(node);
+        let steps = [
+            (
+                Port::North,
+                (y > 0 || t.torus).then(|| (x, (y + h - 1) % h)),
+            ),
+            (Port::East, (x + 1 < w || t.torus).then(|| ((x + 1) % w, y))),
+            (
+                Port::South,
+                (y + 1 < h || t.torus).then(|| (x, (y + 1) % h)),
+            ),
+            (Port::West, (x > 0 || t.torus).then(|| ((x + w - 1) % w, y))),
+        ];
+        for (port, at) in steps {
+            if let Some((x, y)) = at {
+                table[node as usize * NUM_PORTS + port as usize] = t.id(NodeCoord { x, y });
+            }
+        }
     }
-    if cycle < next_wake[ri] {
-        next_wake[ri] = cycle;
-    }
-    wheel.push(router, cycle);
-}
-
-fn m_free_at(m: &MemIf, c: u64) -> u64 {
-    // MemIf does not expose free_at directly; probe forward. The reorder
-    // occupancy is bounded by t_p + 1, so this loop is O(t_p).
-    let mut t = c + 1;
-    while !m.can_accept(t) {
-        t += 1;
-    }
-    t
+    table
 }
 
 #[cfg(test)]
@@ -1126,6 +1169,86 @@ mod tests {
             assert!(res.cycles > last, "round {round} did not advance");
             last = res.cycles;
             assert_eq!(res.memif_stats[0].flits_accepted, 2 * (round as u64 + 1));
+        }
+    }
+
+    #[test]
+    fn duplicate_wake_in_one_bucket_is_dropped() {
+        let mut w = WakeWheel::new(4);
+        w.push(2, 5);
+        w.push(1, 5);
+        w.push(2, 5); // duplicate: router 2 already waits in cycle 5's bucket
+        w.push(2, 6); // another bucket: kept
+        assert_eq!(w.next_cycle(), Some(5));
+        w.advance_to(5);
+        let ids = w.take_bucket(5);
+        assert_eq!(ids, vec![2, 1]);
+        w.restore_bucket(5, ids);
+        // Draining cleared the bit: the slot's next lap takes router 2 again.
+        assert_eq!(w.next_cycle(), Some(6));
+        w.advance_to(6);
+        w.push(2, 5 + WakeWheel::WINDOW);
+        assert_eq!(w.take_bucket(6), vec![2]);
+        w.advance_to(5 + WakeWheel::WINDOW);
+        assert_eq!(w.take_bucket(5 + WakeWheel::WINDOW), vec![2]);
+        assert_eq!(w.next_cycle(), None);
+    }
+
+    #[test]
+    fn overflow_entries_merge_ahead_of_direct_pushes() {
+        let mut w = WakeWheel::new(8);
+        let far = WakeWheel::WINDOW + 10;
+        // Beyond the window: spill to the overflow heap, in push order.
+        w.push(3, far);
+        w.push(7, far);
+        w.push(3, far); // overflow keeps duplicates; `processed_at` skips them
+        w.advance_to(20);
+        // Now in-window: direct pushes for the same cycle, one of them a
+        // router that also waits in the overflow heap.
+        w.push(5, far);
+        w.push(7, far);
+        w.push(5, far);
+        assert_eq!(w.next_cycle(), Some(far));
+        w.advance_to(far);
+        assert_eq!(w.take_bucket(far), vec![3, 7, 3, 5, 7]);
+        // The merge set the membership bit of every merged router; the
+        // drain cleared them all.
+        assert!(w.member.iter().all(|&m| m == 0));
+        assert_eq!(w.next_cycle(), None);
+    }
+
+    #[test]
+    fn neighbor_table_matches_coordinates() {
+        for topo in [
+            Topology::rect(4, 3, MemifPlacement::SingleCorner),
+            Topology::torus(4, 3, MemifPlacement::SingleCorner),
+        ] {
+            let table = neighbor_table(&topo);
+            for node in 0..topo.nodes() as u32 {
+                let c = topo.coord(node);
+                let at = |port: Port| table[node as usize * NUM_PORTS + port as usize];
+                assert_eq!(at(Port::Local), NO_NODE);
+                for port in [Port::North, Port::East, Port::South, Port::West] {
+                    let n = at(port);
+                    if n == NO_NODE {
+                        assert!(!topo.torus, "torus nodes have four neighbours");
+                        let edge = match port {
+                            Port::North => c.y == 0,
+                            Port::East => c.x == topo.width - 1,
+                            Port::South => c.y == topo.height - 1,
+                            _ => c.x == 0,
+                        };
+                        assert!(edge, "node {node} lacks a {port:?} neighbour");
+                        continue;
+                    }
+                    assert_eq!(topo.hops(node, n), 1, "node {node} {port:?}");
+                    // Crossing back through the opposite port returns here.
+                    assert_eq!(
+                        table[n as usize * NUM_PORTS + port.opposite() as usize],
+                        node
+                    );
+                }
+            }
         }
     }
 

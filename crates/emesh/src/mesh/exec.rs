@@ -6,9 +6,10 @@
 //! the mesh as two disjoint halves, so it can hold router state while it
 //! records scheduler effects:
 //!
-//! * [`CoreView`] — router-indexed state: the SoA router slab, injection
-//!   queues, stamps, memory interfaces, sinks, forward counters, fault
-//!   trial counters and link-outage windows;
+//! * [`CoreView`] — router-indexed state: the SoA router slab, the
+//!   neighbour and coordinate tables, injection queues, memory interfaces,
+//!   sinks, forward counters, fault trial counters and link-outage windows,
+//!   plus the outputs used by the service in progress;
 //! * [`MasterFx`] — global, order-sensitive scheduler state: the wake
 //!   wheel, flit conservation counters, energy, fault statistics, the NACK
 //!   retransmission queue, the latency table and telemetry histograms.
@@ -27,27 +28,28 @@ use sim_core::stats::Histogram;
 use sim_core::telemetry::SeriesHistogram;
 
 use super::soa::{RouterSlab, NO_PORT};
-use super::{
-    m_free_at, wake_raw, Mesh, MeshConfig, MeshError, MeshRunResult, RoutingPolicy, WakeWheel,
-    NEVER,
-};
+use super::{Mesh, MeshConfig, MeshError, MeshRunResult, RoutingPolicy, WakeWheel, NEVER, NO_NODE};
 use crate::energy::EnergyCounters;
 use crate::faults::{FaultHot, FaultMasterView, Retransmit, PROBE_INTERVAL};
 use crate::flit::{Flit, FlitKind, Packet};
 use crate::memif::MemIf;
 use crate::router::{Port, NUM_PORTS};
+use crate::topology::NodeCoord;
 
 const LOCAL: usize = Port::Local as usize;
+
+/// Every port's bit in a per-router port mask.
+const ALL_PORTS: u32 = (1 << NUM_PORTS) - 1;
 
 /// Router-indexed mesh state: what a service step reads and writes
 /// directly. The scheduler state stays behind [`MasterFx`].
 struct CoreView<'a> {
     cfg: &'a MeshConfig,
     slab: &'a mut RouterSlab,
+    /// Flattened `router * NUM_PORTS + port` neighbour table.
+    neighbors: &'a [u32],
+    coords: &'a [NodeCoord],
     inject: &'a mut [VecDeque<Flit>],
-    last_inject: &'a mut [u64],
-    /// Flattened `router * NUM_PORTS + port` pop stamps.
-    last_pop: &'a mut [u64],
     memif_slot: &'a [Option<u32>],
     memifs: &'a mut [MemIf],
     sink_delivered: &'a mut [u64],
@@ -60,12 +62,15 @@ struct CoreView<'a> {
     latency_on: bool,
     /// Telemetry attached: emit pre-service occupancy samples.
     tel_on: bool,
+    /// Outputs of the router under service that already carried a flit
+    /// this cycle (bit per port). A router is serviced at most once per
+    /// cycle, so this per-service mask is the whole once-per-cycle rule.
+    outputs_used: u8,
 }
 
 /// Scheduler state, with one method per effect a service step has on it.
 struct MasterFx<'m> {
     wheel: &'m mut WakeWheel,
-    next_wake: &'m mut [u64],
     processed_at: &'m mut [u64],
     in_flight: &'m mut u64,
     pending_inject: &'m mut u64,
@@ -79,18 +84,11 @@ struct MasterFx<'m> {
 }
 
 impl MasterFx<'_> {
-    /// Drain bookkeeping for one bucket entry: clear the `next_wake`
-    /// stamp, dedup via `processed_at`, and stamp the telemetry activity
-    /// bounds. Returns whether the entry should actually be serviced.
+    /// Drain bookkeeping for one bucket entry: dedup via `processed_at`
+    /// and stamp the telemetry activity bounds. Returns whether the entry
+    /// should actually be serviced.
     #[inline]
     fn bookkeep(&mut self, ri: usize, c: u64) -> bool {
-        if self.next_wake[ri] == c {
-            // This entry is the router's earliest pending wake; clear it
-            // so wakes derived while processing re-arm the wheel.
-            // (`next_wake > c` means this entry is stale — a later pending
-            // wake exists and must stay tracked.)
-            self.next_wake[ri] = NEVER;
-        }
         if self.processed_at[ri] == c {
             return false; // redundant wakeup for a cycle already serviced
         }
@@ -108,7 +106,7 @@ impl MasterFx<'_> {
     /// service).
     #[inline]
     fn wake(&mut self, router: u32, cycle: u64) {
-        wake_raw(self.wheel, self.next_wake, router, cycle);
+        self.wheel.push(router, cycle);
     }
 
     /// A flit left an injection queue into the network.
@@ -246,26 +244,12 @@ impl CoreView<'_> {
     /// The neighbour of `node` through `port` (wrapping on a torus).
     #[inline]
     fn neighbor(&self, node: u32, port: Port) -> u32 {
-        let t = &self.cfg.topology;
-        let c = t.coord(node);
-        let (x, y) = if t.torus {
-            match port {
-                Port::North => (c.x, (c.y + t.height - 1) % t.height),
-                Port::South => (c.x, (c.y + 1) % t.height),
-                Port::East => ((c.x + 1) % t.width, c.y),
-                Port::West => ((c.x + t.width - 1) % t.width, c.y),
-                Port::Local => unreachable!("local has no neighbor"),
-            }
-        } else {
-            match port {
-                Port::North => (c.x, c.y - 1),
-                Port::South => (c.x, c.y + 1),
-                Port::East => (c.x + 1, c.y),
-                Port::West => (c.x - 1, c.y),
-                Port::Local => unreachable!("local has no neighbor"),
-            }
-        };
-        t.id(crate::topology::NodeCoord { x, y })
+        let n = self.neighbors[node as usize * NUM_PORTS + port as usize];
+        debug_assert!(
+            n != NO_NODE,
+            "node {node} has no neighbour through {port:?}"
+        );
+        n
     }
 
     /// Route a head flit at `node` toward `dest`. The adaptive arm reads
@@ -275,8 +259,8 @@ impl CoreView<'_> {
         if node == dest {
             return Port::Local;
         }
-        let c = self.cfg.topology.coord(node);
-        let d = self.cfg.topology.coord(dest);
+        let c = self.coords[node as usize];
+        let d = self.coords[dest as usize];
         if self.cfg.topology.torus {
             // Shortest-direction dimension-order routing over the wrap
             // links: x resolves first, and an equidistant tie goes East /
@@ -286,15 +270,23 @@ impl CoreView<'_> {
             // torus (documented limitation, DESIGN.md §16: no VCs, so
             // torus configs rely on the structured deadlock detector).
             let (w, h) = (self.cfg.topology.width, self.cfg.topology.height);
+            // Forward distance from `from` to `to` around a ring of `len`.
+            let ahead = |from: u32, to: u32, len: u32| {
+                if to >= from {
+                    to - from
+                } else {
+                    to + len - from
+                }
+            };
             if d.x != c.x {
-                let east = (d.x + w - c.x) % w;
+                let east = ahead(c.x, d.x, w);
                 return if east <= w - east {
                     Port::East
                 } else {
                     Port::West
                 };
             }
-            let south = (d.y + h - c.y) % h;
+            let south = ahead(c.y, d.y, h);
             return if south <= h - south {
                 Port::South
             } else {
@@ -352,20 +344,29 @@ fn service_entry(view: &mut CoreView<'_>, r: u32, c: u64, fx: &mut MasterFx<'_>)
     if view.fault.as_ref().is_some_and(|f| f.is_dead(r, c)) {
         return; // a hard-killed router does nothing, forever
     }
+    view.outputs_used = 0;
     try_inject(view, r, c, fx);
-    for k in 0..NUM_PORTS {
-        let p = (k + c as usize) % NUM_PORTS;
-        try_forward(view, r, p, c, fx);
+    // Visit ports (c + k) % NUM_PORTS for k = 0, 1, … but only those
+    // holding a flit: an empty input has no side effects. The snapshot is
+    // exact because a service pushes only into *other* routers' inputs.
+    let first = (c % NUM_PORTS as u64) as u32;
+    let mask = u32::from(view.slab.nonempty_inputs(r as usize));
+    let mut rotated = ((mask >> first) | (mask << (NUM_PORTS as u32 - first))) & ALL_PORTS;
+    while rotated != 0 {
+        let k = rotated.trailing_zeros() + first;
+        rotated &= rotated - 1;
+        let p = if k >= NUM_PORTS as u32 {
+            k - NUM_PORTS as u32
+        } else {
+            k
+        };
+        try_forward(view, r, p as usize, c, fx);
     }
 }
 
 fn try_inject(view: &mut CoreView<'_>, r: u32, c: u64, fx: &mut MasterFx<'_>) {
     let ri = r as usize;
     if view.inject[ri].is_empty() {
-        return;
-    }
-    if view.last_inject[ri] == c {
-        fx.wake(r, c + 1);
         return;
     }
     if !view.slab.has_space_depth(ri, LOCAL, view.cfg.buffer_depth) {
@@ -385,7 +386,6 @@ fn try_inject(view: &mut CoreView<'_>, r: u32, c: u64, fx: &mut MasterFx<'_>) {
         "buffer bound: router {r} local input exceeds depth {} after inject",
         view.cfg.buffer_depth
     );
-    view.last_inject[ri] = c;
     fx.injected();
     fx.wake(r, ready);
     if !view.inject[ri].is_empty() {
@@ -395,12 +395,10 @@ fn try_inject(view: &mut CoreView<'_>, r: u32, c: u64, fx: &mut MasterFx<'_>) {
 
 fn try_forward(view: &mut CoreView<'_>, r: u32, p: usize, c: u64, fx: &mut MasterFx<'_>) {
     let ri = r as usize;
-    if view.last_pop[ri * NUM_PORTS + p] == c {
-        return; // this input already popped this cycle
-    }
-    let Some(head) = view.slab.front(ri, p) else {
-        return;
-    };
+    let head = view
+        .slab
+        .front(ri, p)
+        .expect("serviced inputs are non-empty");
     if head.ready_at > c {
         fx.wake(r, head.ready_at);
         return;
@@ -414,10 +412,11 @@ fn try_forward(view: &mut CoreView<'_>, r: u32, p: usize, c: u64, fx: &mut Maste
         }
     };
     let o = out as usize;
-    if !view.slab.output_available(ri, o, p, c) {
-        // Channel owned by another packet (woken on release) or used
-        // this cycle (retry next).
-        if view.slab.last_used(ri, o) == c {
+    let used = view.outputs_used & (1 << o) != 0;
+    if used || !view.slab.output_free(ri, o, p) {
+        // Used this cycle (retry next) or owned by another packet (woken
+        // on release).
+        if used {
             fx.wake(r, c + 1);
         }
         return;
@@ -429,6 +428,7 @@ fn try_forward(view: &mut CoreView<'_>, r: u32, p: usize, c: u64, fx: &mut Maste
     }
 
     let n = view.neighbor(r, out);
+    invariant!(n != r, "router {r} forwards into itself through {out:?}");
     let q = out.opposite() as usize;
     if let Some(f) = view.fault.as_deref() {
         if f.is_dead(n, c) {
@@ -478,7 +478,7 @@ fn try_forward(view: &mut CoreView<'_>, r: u32, p: usize, c: u64, fx: &mut Maste
     }
     flit.ready_at = c + 1 + if flit.kind.is_head() { view.cfg.t_r } else { 0 };
     let ready = flit.ready_at;
-    update_channel_state(view.slab, r, p, o, &flit, c, fx);
+    update_channel_state(view, r, p, o, &flit, c, fx);
     view.slab.push_back(n as usize, q, flit);
     invariant!(
         view.slab.input_len(n as usize, q) <= view.cfg.buffer_depth,
@@ -499,13 +499,13 @@ fn eject(view: &mut CoreView<'_>, r: u32, p: usize, c: u64, fx: &mut MasterFx<'_
     if let Some(slot) = memif {
         let m = &view.memifs[slot];
         if !m.can_accept(c) {
-            fx.wake(r, m_free_at(m, c));
+            fx.wake(r, m.free_at());
             return;
         }
     }
     let flit = view.slab.pop_front(ri, p).expect("head");
     after_pop(view, r, p, c, fx);
-    update_channel_state(view.slab, r, p, LOCAL, &flit, c, fx);
+    update_channel_state(view, r, p, LOCAL, &flit, c, fx);
     if let Some(slot) = memif {
         let m = &mut view.memifs[slot];
         if flit.corrupted {
@@ -517,7 +517,7 @@ fn eject(view: &mut CoreView<'_>, r: u32, p: usize, c: u64, fx: &mut MasterFx<'_
         }
     } else if !matches!(flit.kind, FlitKind::Head) {
         // Processor sink: always ready, one flit per cycle (enforced by
-        // the output channel's last_used stamp).
+        // the local output's bit in `outputs_used`).
         if flit.corrupted {
             // Sinks detect but do not NACK (the paper's retransmit sits
             // at the memory interface); the word is lost.
@@ -538,11 +538,10 @@ fn eject(view: &mut CoreView<'_>, r: u32, p: usize, c: u64, fx: &mut MasterFx<'_
     view.router_forwards[ri] += 1;
 }
 
-/// Book-keeping after popping from input (r, p) at cycle c: stamp the
-/// pop, wake the feeder (space freed) and ourselves (next flit).
+/// Book-keeping after popping from input (r, p) at cycle c: wake the
+/// feeder (space freed) and ourselves (next flit).
 fn after_pop(view: &mut CoreView<'_>, r: u32, p: usize, c: u64, fx: &mut MasterFx<'_>) {
     let ri = r as usize;
-    view.last_pop[ri * NUM_PORTS + p] = c;
     if view.slab.input_len(ri, p) > 0 {
         fx.wake(r, c + 1);
     }
@@ -557,9 +556,9 @@ fn after_pop(view: &mut CoreView<'_>, r: u32, p: usize, c: u64, fx: &mut MasterF
 }
 
 /// Update wormhole ownership and per-input route state for a forwarded
-/// flit, and stamp the output as used this cycle.
+/// flit, and mark the output as used this cycle.
 fn update_channel_state(
-    slab: &mut RouterSlab,
+    view: &mut CoreView<'_>,
     r: u32,
     p: usize,
     o: usize,
@@ -568,7 +567,8 @@ fn update_channel_state(
     fx: &mut MasterFx<'_>,
 ) {
     let ri = r as usize;
-    slab.set_last_used(ri, o, c);
+    view.outputs_used |= 1 << o;
+    let slab = &mut *view.slab;
     if flit.kind.is_head() {
         slab.set_owner_raw(ri, o, p as u8);
         slab.set_route_raw(ri, p, o as u8);
@@ -587,9 +587,9 @@ impl Mesh {
         let Mesh {
             cfg,
             slab,
+            neighbors,
+            coords,
             inject,
-            last_inject,
-            last_pop,
             memif_slot,
             memifs,
             sink_delivered,
@@ -599,7 +599,6 @@ impl Mesh {
             inject_cycle,
             latency,
             wheel,
-            next_wake,
             processed_at,
             in_flight,
             pending_inject,
@@ -633,9 +632,9 @@ impl Mesh {
             CoreView {
                 cfg,
                 slab,
+                neighbors,
+                coords,
                 inject,
-                last_inject,
-                last_pop,
                 memif_slot,
                 memifs,
                 sink_delivered,
@@ -646,10 +645,10 @@ impl Mesh {
                 fault: fault_hot,
                 latency_on,
                 tel_on,
+                outputs_used: 0,
             },
             MasterFx {
                 wheel,
-                next_wake,
                 processed_at,
                 in_flight,
                 pending_inject,
@@ -697,14 +696,8 @@ impl Mesh {
             self.now = c;
             self.wheel.advance_to(c);
             self.drain_due_retransmits(c);
-            // Drain the bucket for cycle `c` in insertion order. Every wake
-            // pushed while processing cycle `c` targets a cycle ≥ c + 1, so
-            // the bucket cannot grow (or be reused — c + WINDOW is spilled
-            // to the overflow heap) underneath this loop; take it out
-            // wholesale and hand its allocation back afterwards.
-            let b = (c % WakeWheel::WINDOW) as usize;
-            let mut ids = std::mem::take(&mut self.wheel.buckets[b]);
-            self.wheel.bucket_pending -= ids.len() as u64;
+            // Drain the bucket for cycle `c` in insertion order.
+            let ids = self.wheel.take_bucket(c);
             {
                 let (mut view, mut fx) = self.exec_views();
                 for &r in &ids {
@@ -713,12 +706,7 @@ impl Mesh {
                     }
                 }
             }
-            ids.clear();
-            debug_assert!(
-                self.wheel.buckets[b].is_empty(),
-                "same-cycle wake pushed while draining"
-            );
-            self.wheel.buckets[b] = ids;
+            self.wheel.restore_bucket(c, ids);
             if sim_core::invariants::ENABLED {
                 audit_countdown -= 1;
                 if audit_countdown == 0 {

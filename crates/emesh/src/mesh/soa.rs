@@ -10,25 +10,26 @@
 //!   paper's default depth is **2**, so two routers never share a cache
 //!   line and the working set is ~50× larger than the live data;
 //! * the scheduler's per-cycle bookkeeping reads only a few scalar fields
-//!   (lengths, routes, owners, stamps) but drags whole rings through the
-//!   cache to get them.
+//!   (lengths, routes, owners) but drags whole rings through the cache to
+//!   get them.
 //!
 //! [`RouterSlab`] stores the same state as dense parallel arrays sized to
 //! the *configured* buffer depth: all ring lengths adjacent, all routes
 //! adjacent, and the flit slots packed at `cap` per input port where `cap`
 //! is the depth rounded up to a power of two (minimum 2). `Option<u8>`
-//! fields are packed as `0xFF = None`, `last_used` keeps the
-//! `u64::MAX = never` convention of [`crate::router::OutputPort`].
+//! fields are packed as `0xFF = None`. A per-router bit mask of non-empty
+//! inputs lets a service visit only the ports holding a flit.
+//!
+//! The specification's per-output `last_used` stamp has no counterpart
+//! here: the executor services each router at most once per cycle, so "used
+//! this cycle" is a per-service mask the executor keeps itself, and the
+//! slab answers only the ownership half ([`RouterSlab::output_free`]).
 
 use crate::flit::{Flit, FlitKind};
 use crate::router::NUM_PORTS;
 
 /// Packed `None` for route/owner bytes.
 pub(crate) const NO_PORT: u8 = 0xFF;
-
-/// Packed `never used` for output stamps (matches
-/// [`crate::router::OutputPort::last_used`]'s default).
-pub(crate) const NEVER_USED: u64 = u64::MAX;
 
 const EMPTY_FLIT: Flit = Flit {
     dest: 0,
@@ -57,8 +58,8 @@ pub(crate) struct RouterSlab {
     route: Vec<u8>,
     /// Owning input per output port (`NO_PORT` = none).
     owner: Vec<u8>,
-    /// Last-forward cycle stamp per output port (`NEVER_USED` = never).
-    last_used: Vec<u64>,
+    /// Per router, bit `p` set iff input `p` buffers at least one flit.
+    nonempty: Vec<u8>,
 }
 
 impl RouterSlab {
@@ -74,7 +75,7 @@ impl RouterSlab {
             len: vec![0; n * NUM_PORTS],
             route: vec![NO_PORT; n * NUM_PORTS],
             owner: vec![NO_PORT; n * NUM_PORTS],
-            last_used: vec![NEVER_USED; n * NUM_PORTS],
+            nonempty: vec![0; n],
         }
     }
 
@@ -95,7 +96,14 @@ impl RouterSlab {
 
     /// True when router `r` buffers nothing.
     pub fn is_empty(&self, r: usize) -> bool {
-        self.occupancy(r) == 0
+        self.nonempty[r] == 0
+    }
+
+    /// Router `r`'s non-empty inputs: bit `p` is set iff input `p` buffers
+    /// at least one flit.
+    #[inline]
+    pub fn nonempty_inputs(&self, r: usize) -> u8 {
+        self.nonempty[r]
     }
 
     /// Routers in the slab.
@@ -138,6 +146,7 @@ impl RouterSlab {
         let slot = i * self.cap + ((self.head[i] as usize + len) & (self.cap - 1));
         self.flits[slot] = flit;
         self.len[i] += 1;
+        self.nonempty[r] |= 1 << p;
     }
 
     /// Remove and return the oldest buffered flit of input `p` of router
@@ -151,6 +160,9 @@ impl RouterSlab {
         let slot = i * self.cap + (self.head[i] as usize & (self.cap - 1));
         self.head[i] = self.head[i].wrapping_add(1);
         self.len[i] -= 1;
+        if self.len[i] == 0 {
+            self.nonempty[r] &= !(1 << p);
+        }
         Some(self.flits[slot])
     }
 
@@ -168,7 +180,7 @@ impl RouterSlab {
     }
 
     /// Owning input of output `o` of router `r` (the hot path reads it
-    /// only through [`RouterSlab::output_available`]).
+    /// only through [`RouterSlab::output_free`]).
     #[cfg(test)]
     pub fn owner(&self, r: usize, o: usize) -> Option<u8> {
         let v = self.owner[Self::port(r, o)];
@@ -181,18 +193,6 @@ impl RouterSlab {
         self.owner[Self::port(r, o)] = v;
     }
 
-    /// Last-forward stamp of output `o` of router `r`.
-    #[inline]
-    pub fn last_used(&self, r: usize, o: usize) -> u64 {
-        self.last_used[Self::port(r, o)]
-    }
-
-    /// Stamp output `o` as used at `cycle`.
-    #[inline]
-    pub fn set_last_used(&mut self, r: usize, o: usize, cycle: u64) {
-        self.last_used[Self::port(r, o)] = cycle;
-    }
-
     /// Whether input `p` of router `r` can accept another flit under a
     /// logical buffer depth of `depth` flits
     /// ([`crate::router::Router::has_space_depth`]).
@@ -201,16 +201,13 @@ impl RouterSlab {
         self.input_len(r, p) < depth
     }
 
-    /// Whether output `o` of router `r` is free this cycle for input `p`:
-    /// channel un-owned or owned by `p`, and not already used at `cycle`
-    /// ([`crate::router::Router::output_available`]).
+    /// Whether the wormhole channel of output `o` of router `r` is open to
+    /// input `p`: un-owned or owned by `p` (the ownership half of
+    /// [`crate::router::Router::output_available`]).
     #[inline]
-    pub fn output_available(&self, r: usize, o: usize, p: usize, cycle: u64) -> bool {
-        let i = Self::port(r, o);
-        let owner = self.owner[i];
-        let owned_ok = owner == NO_PORT || owner as usize == p;
-        let last = self.last_used[i];
-        owned_ok && (last == NEVER_USED || last < cycle)
+    pub fn output_free(&self, r: usize, o: usize, p: usize) -> bool {
+        let owner = self.owner[Self::port(r, o)];
+        owner == NO_PORT || owner as usize == p
     }
 }
 
@@ -261,34 +258,73 @@ mod tests {
 
     #[test]
     fn output_availability_matches_router_semantics() {
+        // `output_free` is the ownership half of `Router::output_available`;
+        // the once-per-cycle half is the executor's per-service mask. With
+        // the reference output never used, the two must agree for every
+        // owner (none or any input) and every requesting input.
+        let o = 2;
         let mut slab = RouterSlab::new(1, 2);
         let mut reference = Router::default();
-        // Fresh output: available to anyone.
-        assert!(slab.output_available(0, 2, 0, 10));
-        assert!(reference.output_available(2, 0, 10));
-        // Owned by input 1: only input 1 may use it.
-        slab.set_owner_raw(0, 2, 1);
-        reference.outputs[2].owner = Some(1);
-        assert_eq!(
-            slab.output_available(0, 2, 0, 10),
-            reference.output_available(2, 0, 10)
-        );
-        assert_eq!(
-            slab.output_available(0, 2, 1, 10),
-            reference.output_available(2, 1, 10)
-        );
-        // Used this cycle: nobody may use it again until the next one.
-        slab.set_last_used(0, 2, 10);
-        reference.outputs[2].last_used = 10;
-        assert_eq!(
-            slab.output_available(0, 2, 1, 10),
-            reference.output_available(2, 1, 10)
-        );
-        assert_eq!(
-            slab.output_available(0, 2, 1, 11),
-            reference.output_available(2, 1, 11)
-        );
-        assert!(slab.output_available(0, 2, 1, 11));
+        for owner in std::iter::once(None).chain((0..NUM_PORTS as u8).map(Some)) {
+            slab.set_owner_raw(0, o, owner.unwrap_or(NO_PORT));
+            reference.outputs[o].owner = owner;
+            for p in 0..NUM_PORTS {
+                assert_eq!(
+                    slab.output_free(0, o, p),
+                    reference.output_available(o, p, 10),
+                    "owner {owner:?}, input {p}"
+                );
+            }
+        }
+        // Releasing the channel opens it to every input again.
+        slab.set_owner_raw(0, o, NO_PORT);
+        assert!((0..NUM_PORTS).all(|p| slab.output_free(0, o, p)));
+    }
+
+    #[test]
+    fn nonempty_mask_tracks_port_lengths() {
+        let mut slab = RouterSlab::new(3, 3);
+        let check = |slab: &RouterSlab| {
+            for r in 0..slab.routers() {
+                let mask = slab.nonempty_inputs(r);
+                for p in 0..NUM_PORTS {
+                    assert_eq!(
+                        mask & (1 << p) != 0,
+                        slab.input_len(r, p) > 0,
+                        "router {r} port {p}"
+                    );
+                }
+                assert_eq!(slab.is_empty(r), slab.occupancy(r) == 0);
+            }
+        };
+        check(&slab);
+        // Fill and drain every port of router 1 in a staggered pattern far
+        // past the ring capacity, so heads wrap while other ports of the
+        // same router hold flits.
+        let mut payload = 0;
+        for round in 0..(3 * slab.cap()) {
+            for p in 0..NUM_PORTS {
+                for _ in 0..=((round + p) % 3) {
+                    if slab.has_space_depth(1, p, 3) {
+                        slab.push_back(1, p, some_flit(payload));
+                        payload += 1;
+                        check(&slab);
+                    }
+                }
+            }
+            for p in 0..NUM_PORTS {
+                for _ in 0..=((round + 2 * p) % 3) {
+                    slab.pop_front(1, p);
+                    check(&slab);
+                }
+            }
+        }
+        while (0..NUM_PORTS).any(|p| slab.pop_front(1, p).is_some()) {
+            check(&slab);
+        }
+        assert_eq!(slab.nonempty_inputs(1), 0);
+        // Routers 0 and 2 were never touched.
+        assert_eq!(slab.nonempty_inputs(0) | slab.nonempty_inputs(2), 0);
     }
 
     #[test]
@@ -302,7 +338,6 @@ mod tests {
         assert_eq!(slab.owner(1, 0), None);
         slab.set_owner_raw(1, 0, 4);
         assert_eq!(slab.owner(1, 0), Some(4));
-        assert_eq!(slab.last_used(1, 0), NEVER_USED);
     }
 
     #[test]

@@ -54,11 +54,13 @@ macro_rules! invariant {
 #[cfg(test)]
 mod tests {
     #[test]
-    #[allow(clippy::assertions_on_constants)]
     fn enabled_in_test_builds() {
-        // Tests compile with debug_assertions, so checking must be on —
-        // "invariant checks are on in every test run" is load-bearing.
-        assert!(super::ENABLED);
+        // Checking is on exactly in debug builds (so every plain `cargo
+        // test` run checks every invariant) and under `check-invariants`.
+        assert_eq!(
+            super::ENABLED,
+            cfg!(any(debug_assertions, feature = "check-invariants"))
+        );
     }
 
     #[test]
@@ -70,8 +72,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "broken invariant")]
     fn failing_invariant_panics_when_enabled() {
-        invariant!(1 + 1 == 3, "broken invariant");
+        // Panics exactly when checking is compiled in; a release build
+        // without `check-invariants` compiles the check out entirely.
+        let broken = std::panic::catch_unwind(|| {
+            invariant!(1 + 1 == 3, "broken invariant");
+        });
+        assert_eq!(broken.is_err(), super::ENABLED);
     }
 }
