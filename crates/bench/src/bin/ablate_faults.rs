@@ -25,8 +25,8 @@ fn main() -> Result<(), BenchError> {
     };
     let (procs, gathers) = (spec.procs, spec.gathers);
     let interrupt = ex.interrupt();
-    // The sweep itself lives in [`bench::jobs`] so the supervised paths
-    // (`run_batch`, `psyncd`) produce byte-identical rows.
+    // The sweep itself lives in [`bench::jobs`] so a supervised
+    // `ablate_faults` job produces byte-identical rows.
     let points: Vec<FaultPoint> = run_ablate_faults(&spec, interrupt.as_ref())
         .map_err(|e| BenchError::run("ablate_faults", e))?;
 

@@ -1,7 +1,7 @@
 //! Supervised experiment batch driver — the `run_batch` bin.
 //!
 //! Runs a batch of Table III jobs under the [`bench::supervisor`] worker
-//! pool with the [`bench::cache`] exact result cache, demonstrating every
+//! with the [`bench::cache`] exact result cache, demonstrating every
 //! structured outcome the supervision layer produces:
 //!
 //! * **pass** — the job simulated to completion; its result JSON is written
@@ -12,7 +12,7 @@
 //! * **deadline** — a job submitted with a zero deadline, cancelled at the
 //!   fabric's first interrupt poll (`Cancelled` with a structured cause);
 //! * **panicked** — a job whose body deliberately panics; the panic is
-//!   caught, the payload reported, and the worker respawned.
+//!   caught, the payload reported, and the worker goes on to the next job.
 //!
 //! ```text
 //! cargo run --release -p bench --bin run_batch [--quick] [--timeout-s <s>]
@@ -25,9 +25,9 @@
 //! `timeout -s INT`) triggers a graceful drain: cancel-all, flush the
 //! partial batch report, exit 130.
 //!
-//! The batch summary goes to `results/run_batch.json`. Worker count is 1 so
-//! completion order — and therefore which duplicate is the cache hit — is
-//! deterministic and the quick golden is byte-stable.
+//! The batch summary goes to `results/run_batch.json`. The supervisor runs
+//! jobs one at a time in submit order, so which duplicate is the cache hit
+//! is deterministic and the quick golden is byte-stable.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -35,7 +35,7 @@ use std::time::Duration;
 
 use bench::cache::{fingerprint_hex, ResultCache};
 use bench::jobs::{supervised_work, JobSpec, Table3Spec};
-use bench::supervisor::{JobError, JobReport, JobSuccess, Supervisor, SupervisorConfig, Work};
+use bench::supervisor::{JobError, JobReport, JobSuccess, Supervisor, Work, WORKER_THREAD};
 use bench::{BenchError, Experiment};
 use serde::Serialize;
 
@@ -82,9 +82,6 @@ struct BatchRow {
     job: String,
     /// `pass` / `cached` / `deadline` / `panicked` / `failed` / `cancelled`.
     outcome: String,
-    attempts: u32,
-    /// Deterministic backoff total (ms) the retry policy charged.
-    backoff_ms: u64,
     /// Result fingerprint (perf-gate witness) for pass/cached rows.
     fingerprint: Option<String>,
     /// Structured failure detail for the non-pass rows.
@@ -117,8 +114,6 @@ fn row_for(report: &JobReport) -> BatchRow {
     BatchRow {
         job: report.name.clone(),
         outcome: outcome.to_string(),
-        attempts: report.attempts,
-        backoff_ms: report.backoff_ms_total,
         fingerprint,
         detail,
     }
@@ -126,22 +121,19 @@ fn row_for(report: &JobReport) -> BatchRow {
 
 /// A supervised Table III job body via the shared [`bench::jobs`] builder:
 /// cache lookup keyed on the canonical spec JSON plus the deadline bits,
-/// simulation on miss — the same code path `psyncd` routes daemon jobs
-/// through.
-fn table3_work(cfg: Table3Spec, timeout_s: Option<f64>, cache: Arc<ResultCache>) -> Arc<Work> {
-    supervised_work(JobSpec::Table3(cfg), timeout_s, cache, None, None)
+/// simulation on miss.
+fn table3_work(cfg: Table3Spec, timeout_s: Option<f64>, cache: Arc<ResultCache>) -> Box<Work> {
+    supervised_work(JobSpec::Table3(cfg), timeout_s, cache)
 }
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("run_batch");
     sig::install();
     // Suppress the default panic hook's backtrace spam for the supervisor's
-    // worker threads — their panics are caught and reported structurally.
+    // worker thread — its panics are caught and reported structurally.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let in_worker = std::thread::current()
-            .name()
-            .is_some_and(|n| n.starts_with("sup-worker-"));
+        let in_worker = std::thread::current().name() == Some(WORKER_THREAD);
         if !in_worker {
             default_hook(info);
         }
@@ -157,60 +149,35 @@ fn main() -> Result<(), BenchError> {
     };
 
     let cache = Arc::new(ResultCache::new());
-    // One worker: completion order (and which duplicate hits the cache) is
-    // deterministic, so the quick golden is byte-stable.
-    let sup = Supervisor::new(SupervisorConfig {
-        workers: 1,
-        queue_cap: 16,
-        max_attempts: 3,
-        backoff_base_ms: 10,
-        backoff_cap_ms: 1000,
-        seed: 7,
-    });
+    let mut sup = Supervisor::new();
 
     // The four-outcome smoke batch. `--timeout-s` additionally bounds the
     // pass/cached jobs (the deadline demo keeps its forced 0 s budget).
     let batch_timeout = ex.timeout_s();
-    let submissions: Vec<(&str, Option<f64>, Arc<Work>)> = vec![
-        (
-            "table3",
-            batch_timeout,
-            table3_work(cfg.clone(), batch_timeout, Arc::clone(&cache)),
-        ),
-        (
-            "table3-cached",
-            batch_timeout,
-            table3_work(cfg.clone(), batch_timeout, Arc::clone(&cache)),
-        ),
-        (
-            "table3-deadline",
-            Some(0.0),
-            table3_work(cfg.clone(), Some(0.0), Arc::clone(&cache)),
-        ),
-        (
-            "table3-panic",
-            None,
-            Arc::new(|_| panic!("forced panic: supervisor smoke")),
-        ),
-    ];
-    for (name, timeout_s, work) in submissions {
-        // Backpressure protocol: on QueueFull wait the suggested delay and
-        // resubmit (cannot trigger at this batch size, but the loop is the
-        // documented producer idiom).
-        loop {
-            match sup.submit(name, timeout_s, Arc::clone(&work)) {
-                Ok(_) => break,
-                Err(JobError::QueueFull { retry_after_ms }) => {
-                    std::thread::sleep(Duration::from_millis(retry_after_ms));
-                }
-                Err(e) => return Err(BenchError::run("run_batch", e)),
-            }
-        }
-    }
+    sup.submit(
+        "table3",
+        batch_timeout,
+        table3_work(cfg.clone(), batch_timeout, Arc::clone(&cache)),
+    );
+    sup.submit(
+        "table3-cached",
+        batch_timeout,
+        table3_work(cfg.clone(), batch_timeout, Arc::clone(&cache)),
+    );
+    sup.submit(
+        "table3-deadline",
+        Some(0.0),
+        table3_work(cfg.clone(), Some(0.0), Arc::clone(&cache)),
+    );
+    sup.submit(
+        "table3-panic",
+        None,
+        Box::new(|_| panic!("forced panic: supervisor smoke")),
+    );
 
     // Drain loop: collect one report per submitted job, relaying SIGINT to
-    // the pool as a cancel-all so in-flight simulations stop at their next
-    // interrupt poll and queued jobs drain unrun.
+    // the supervisor as a cancel-all so the in-flight simulation stops at
+    // its next interrupt poll and queued jobs drain unrun.
     let mut reports: Vec<JobReport> = Vec::new();
     let mut interrupted = false;
     while (reports.len() as u64) < sup.submitted() {
@@ -252,26 +219,22 @@ fn main() -> Result<(), BenchError> {
             vec![
                 r.job.clone(),
                 r.outcome.clone(),
-                r.attempts.to_string(),
-                r.backoff_ms.to_string(),
                 r.fingerprint.clone().unwrap_or_else(|| "-".to_string()),
             ]
         })
         .collect();
     // Cache accounting goes out with the batch's telemetry (visible under
-    // `--metrics-out` as the `service.cache.*` counters, same names the
-    // psyncd `status` verb reports).
+    // `--metrics-out` as the `cache.*` counters).
     let cache_reg = sim_core::telemetry::Registry::new();
     cache.record_telemetry(&cache_reg);
     ex.table(
         &format!(
-            "Supervised batch: {} jobs, P = {}, N = {} ({} respawned worker(s))",
+            "Supervised batch: {} jobs, P = {}, N = {}",
             rows.len(),
             cfg.procs,
             cfg.row_len,
-            sup.respawns(),
         ),
-        &["job", "outcome", "attempts", "backoff ms", "fingerprint"],
+        &["job", "outcome", "fingerprint"],
         &cells,
     )
     .telemetry(cache_reg)

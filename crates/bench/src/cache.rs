@@ -14,12 +14,9 @@
 //! result bytes — the same witness the perf-gate golden comparison uses —
 //! so a batch report can prove which bytes a cache hit handed out.
 //!
-//! Long-running processes (the `psyncd` daemon) can bound memory with
-//! [`ResultCache::with_budget_bytes`]: when the stored result bytes exceed
-//! the budget, ready entries are evicted least-recently-used first.
-//! Hit/miss/eviction counters are readable at any time via
-//! [`ResultCache::stats`] (the daemon's `status` verb) and exportable into
-//! a telemetry [`Registry`] via [`ResultCache::record_telemetry`].
+//! Hit/miss counters are readable at any time via [`ResultCache::stats`]
+//! and exportable into a telemetry [`Registry`] via
+//! [`ResultCache::record_telemetry`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,26 +59,13 @@ pub struct CacheEntry {
     pub fingerprint: u64,
 }
 
-/// Per-key slot: either someone is building, or the entry is ready (with
-/// its last-touched tick for LRU eviction).
+/// Per-key slot: either someone is building, or the entry is ready.
 enum Slot {
     Building,
-    Ready { entry: Arc<CacheEntry>, used: u64 },
+    Ready(Arc<CacheEntry>),
 }
 
-/// State behind the cache lock: the slots plus the LRU clock and the
-/// running total of stored result bytes.
-#[derive(Default)]
-struct Slots {
-    map: HashMap<u64, Slot>,
-    /// Monotone tick; bumped on every insert and hit.
-    tick: u64,
-    /// Total `result_json` bytes across Ready slots.
-    bytes: u64,
-}
-
-/// Point-in-time counters of a [`ResultCache`] — the payload of the
-/// daemon's `status` verb.
+/// Point-in-time counters of a [`ResultCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served without running the builder (including waits on
@@ -89,45 +73,24 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that ran the builder.
     pub misses: u64,
-    /// Ready entries evicted to stay within the byte budget.
-    pub evictions: u64,
     /// Ready entries currently stored.
     pub entries: u64,
-    /// Result bytes currently stored.
-    pub bytes: u64,
-    /// Configured budget (`None` = unbounded).
-    pub budget_bytes: Option<u64>,
 }
 
 /// The exact-match, single-flight result cache.
 #[derive(Default)]
 pub struct ResultCache {
-    slots: Mutex<Slots>,
+    slots: Mutex<HashMap<u64, Slot>>,
     changed: Condvar,
-    /// `0` = unbounded (the batch default).
-    budget_bytes: u64,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl ResultCache {
-    /// An unbounded cache (the `run_batch` default: within one batch,
-    /// every entry is worth keeping).
+    /// An empty cache. Within one batch every entry is worth keeping, so
+    /// nothing is ever evicted.
     pub fn new() -> Self {
         ResultCache::default()
-    }
-
-    /// A cache that evicts least-recently-used ready entries once the
-    /// stored result bytes exceed `budget` (`0` = unbounded). The entry
-    /// being returned by the current lookup is never evicted by its own
-    /// insertion, so a single oversized result still caches (until the
-    /// next insert pushes it out).
-    pub fn with_budget_bytes(budget: u64) -> Self {
-        ResultCache {
-            budget_bytes: budget,
-            ..ResultCache::default()
-        }
     }
 
     /// Look up `key`; on a miss run `build` (exactly once across all
@@ -148,13 +111,9 @@ impl ResultCache {
         {
             let mut slots = self.slots.lock().expect("cache lock poisoned");
             loop {
-                // Advance the recency clock before borrowing the slot.
-                let now = slots.tick + 1;
-                match slots.map.get_mut(&key) {
-                    Some(Slot::Ready { entry, used }) => {
-                        *used = now;
+                match slots.get(&key) {
+                    Some(Slot::Ready(entry)) => {
                         let entry = Arc::clone(entry);
-                        slots.tick = now;
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return Ok((entry, true));
                     }
@@ -162,7 +121,7 @@ impl ResultCache {
                         slots = self.changed.wait(slots).expect("cache lock poisoned");
                     }
                     None => {
-                        slots.map.insert(key, Slot::Building);
+                        slots.insert(key, Slot::Building);
                         break;
                     }
                 }
@@ -182,7 +141,7 @@ impl ResultCache {
             fn drop(&mut self) {
                 if self.armed {
                     if let Ok(mut slots) = self.cache.slots.lock() {
-                        slots.map.remove(&self.key);
+                        slots.remove(&self.key);
                     }
                     self.cache.changed.notify_all();
                 }
@@ -201,17 +160,7 @@ impl ResultCache {
                     result_json,
                 });
                 let mut slots = self.slots.lock().expect("cache lock poisoned");
-                slots.tick += 1;
-                slots.bytes += entry.result_json.len() as u64;
-                let used = slots.tick;
-                slots.map.insert(
-                    key,
-                    Slot::Ready {
-                        entry: Arc::clone(&entry),
-                        used,
-                    },
-                );
-                self.evict_to_budget(&mut slots, key);
+                slots.insert(key, Slot::Ready(Arc::clone(&entry)));
                 guard.armed = false;
                 drop(slots);
                 self.changed.notify_all();
@@ -222,56 +171,25 @@ impl ResultCache {
         }
     }
 
-    /// Evict least-recently-used Ready slots until the stored bytes fit the
-    /// budget. Building slots hold no bytes and are never touched; `keep`
-    /// (the entry the current caller is about to return) is exempt.
-    fn evict_to_budget(&self, slots: &mut Slots, keep: u64) {
-        if self.budget_bytes == 0 {
-            return;
-        }
-        while slots.bytes > self.budget_bytes {
-            let lru = slots
-                .map
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready { used, .. } if *k != keep => Some((*used, *k)),
-                    _ => None,
-                })
-                .min();
-            let Some((_, victim)) = lru else { break };
-            if let Some(Slot::Ready { entry, .. }) = slots.map.remove(&victim) {
-                slots.bytes -= entry.result_json.len() as u64;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Point-in-time counters (lock-free except for the entry/byte scan).
+    /// Point-in-time counters.
     pub fn stats(&self) -> CacheStats {
         let slots = self.slots.lock().expect("cache lock poisoned");
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             entries: slots
-                .map
                 .values()
-                .filter(|s| matches!(s, Slot::Ready { .. }))
+                .filter(|s| matches!(s, Slot::Ready(_)))
                 .count() as u64,
-            bytes: slots.bytes,
-            budget_bytes: (self.budget_bytes > 0).then_some(self.budget_bytes),
         }
     }
 
-    /// Export the counters as `service.cache.*` series into `reg` (the
-    /// daemon records them alongside its own series when flushing metrics).
+    /// Export the counters as `cache.*` series into `reg`.
     pub fn record_telemetry(&self, reg: &Registry) {
         let s = self.stats();
-        reg.counter_set("service.cache.hits", s.hits);
-        reg.counter_set("service.cache.misses", s.misses);
-        reg.counter_set("service.cache.evictions", s.evictions);
-        reg.counter_set("service.cache.entries", s.entries);
-        reg.counter_set("service.cache.bytes", s.bytes);
+        reg.counter_set("cache.hits", s.hits);
+        reg.counter_set("cache.misses", s.misses);
+        reg.counter_set("cache.entries", s.entries);
     }
 
     /// Ready entries currently stored.
@@ -318,9 +236,7 @@ mod tests {
         assert_eq!(a.fingerprint, fnv1a64(b"{\"x\":1}"));
         assert_eq!(cache.len(), 1);
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (1, 1, 0));
-        assert_eq!(s.bytes, a.result_json.len() as u64);
-        assert_eq!(s.budget_bytes, None);
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
 
     #[test]
@@ -399,59 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_respects_budget_and_recency() {
-        // Budget fits two 10-byte entries; inserting a third evicts the
-        // least recently *used* (key 1 was touched after key 2 was stored).
-        let cache = ResultCache::with_budget_bytes(20);
-        let ten = "x".repeat(10);
-        for key in [1u64, 2] {
-            cache
-                .get_or_build(key, || Ok::<_, ()>(ten.clone()))
-                .unwrap();
-        }
-        let (_, hit) = cache
-            .get_or_build(1, || -> Result<String, ()> { unreachable!() })
-            .unwrap();
-        assert!(hit);
-        cache.get_or_build(3, || Ok::<_, ()>(ten.clone())).unwrap();
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.bytes, 20);
-        assert_eq!(s.budget_bytes, Some(20));
-        // Key 2 was the LRU victim; 1 and 3 still hit.
-        for (key, expect_hit) in [(1u64, true), (3, true)] {
-            let (_, hit) = cache
-                .get_or_build(key, || Ok::<_, ()>("rebuilt!!!".to_string()))
-                .unwrap();
-            assert_eq!(hit, expect_hit, "key {key}");
-        }
-        let (_, hit) = cache.get_or_build(2, || Ok::<_, ()>(ten.clone())).unwrap();
-        assert!(!hit, "the evicted key rebuilds");
-    }
-
-    #[test]
-    fn oversized_entry_still_serves_then_yields_to_the_next_insert() {
-        let cache = ResultCache::with_budget_bytes(5);
-        let (big, hit) = cache
-            .get_or_build(1, || Ok::<_, ()>("way past the budget".to_string()))
-            .unwrap();
-        assert!(!hit);
-        assert_eq!(big.result_json, "way past the budget");
-        // The oversized entry is kept (nothing else to evict)...
-        assert_eq!(cache.stats().entries, 1);
-        assert_eq!(cache.stats().evictions, 0);
-        // ...until the next insert pushes it out.
-        cache
-            .get_or_build(2, || Ok::<_, ()>("ok".to_string()))
-            .unwrap();
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.bytes, 2);
-    }
-
-    #[test]
     fn unbounded_cache_never_evicts() {
         let cache = ResultCache::new();
         for key in 0..64u64 {
@@ -459,15 +322,19 @@ mod tests {
                 .get_or_build(key, || Ok::<_, ()>("z".repeat(1024)))
                 .unwrap();
         }
+        for key in 0..64u64 {
+            let (_, hit) = cache
+                .get_or_build(key, || -> Result<String, ()> { unreachable!("must hit") })
+                .unwrap();
+            assert!(hit, "key {key}");
+        }
         let s = cache.stats();
-        assert_eq!(s.evictions, 0);
-        assert_eq!(s.entries, 64);
-        assert_eq!(s.bytes, 64 * 1024);
+        assert_eq!((s.hits, s.misses, s.entries), (64, 64, 64));
     }
 
     #[test]
     fn telemetry_export_records_the_counters() {
-        let cache = ResultCache::with_budget_bytes(1024);
+        let cache = ResultCache::new();
         cache
             .get_or_build(1, || Ok::<_, ()>("a".to_string()))
             .unwrap();
@@ -476,11 +343,9 @@ mod tests {
             .unwrap();
         let reg = Registry::new();
         cache.record_telemetry(&reg);
-        assert_eq!(reg.counter_value("service.cache.hits"), Some(1));
-        assert_eq!(reg.counter_value("service.cache.misses"), Some(1));
-        assert_eq!(reg.counter_value("service.cache.evictions"), Some(0));
-        assert_eq!(reg.counter_value("service.cache.entries"), Some(1));
-        assert_eq!(reg.counter_value("service.cache.bytes"), Some(1));
+        assert_eq!(reg.counter_value("cache.hits"), Some(1));
+        assert_eq!(reg.counter_value("cache.misses"), Some(1));
+        assert_eq!(reg.counter_value("cache.entries"), Some(1));
     }
 
     #[test]

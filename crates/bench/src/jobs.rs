@@ -1,18 +1,17 @@
 //! Typed experiment job specifications shared by the standalone harness
-//! binaries, the supervised batch driver (`run_batch`), and the experiment
-//! daemon (`psyncd`).
+//! binaries and the supervised batch driver (`run_batch`).
 //!
-//! [`JobSpec`] is the one request surface: a versioned
-//! ([`SCHEMA_VERSION`]) enum covering every experiment family the
-//! supervision layer can route —
+//! [`JobSpec`] is an enum covering every experiment family the supervision
+//! layer can run —
 //!
 //! * **`table3`** — the Table III transpose (PSCAN closed form plus the
 //!   `t_p = 1`/`t_p = 4` mesh simulations), the reference workload whose
 //!   supervised result file is byte-identical to the direct
 //!   `table3_transpose` bin;
 //! * **`perf_mesh`** — one mesh transpose at a chosen routing policy and
-//!   thread count, reduced to its deterministic witness (cycles and flit
-//!   moves; the `perf_mesh` bin adds wall-clock around the same core);
+//!   memory port service time `t_p`, reduced to its deterministic witness
+//!   (cycles and flit moves; the `perf_mesh` bin adds wall-clock around
+//!   the same core);
 //! * **`ablate_faults`** — the fault-rate degradation sweep over both
 //!   fabrics (shared point functions with the `ablate_faults` bin);
 //! * **`crosscheck_models`** — the Eq. 11/14 conformance checks of the
@@ -31,9 +30,8 @@
 //! the exact bytes a fresh run would have produced.
 //!
 //! [`supervised_work`] packages a spec as a [`crate::supervisor`] job body
-//! with cache lookup, per-job cancellation, and partial-progress
-//! reporting — the single code path `run_batch` and `psyncd` both route
-//! through.
+//! with cache lookup and cancellation — the code path `run_batch` routes
+//! its jobs through.
 
 use std::sync::Arc;
 
@@ -56,8 +54,8 @@ use pscan::network::{Pscan, PscanConfig};
 use psync::collectives::run_sca_collective;
 use psync::machine::{Machine, MachineConfig, MachineError};
 use rayon::prelude::*;
-use serde::{Serialize, Value};
-use sim_core::cancel::{CancelToken, Interrupt, Progress};
+use serde::Serialize;
+use sim_core::cancel::Interrupt;
 use sim_core::collective::Collective;
 use sim_core::telemetry::Registry;
 
@@ -66,24 +64,6 @@ use crate::fidelity::{
     decide, record_decision, FidelityDecision, FidelityPolicy, PointConfig, ValidationRegistry,
 };
 use crate::supervisor::{JobSuccess, Work, WorkError};
-
-/// Version of the [`JobSpec`] request schema. Bumped when a field changes
-/// meaning; embedded in [`JobSpec::canonical_json`] so cache keys from
-/// different schema generations can never collide.
-///
-/// v2: the `full_matrix` family and its `fidelity` field — results now
-/// depend on the fidelity policy, so specs carrying one must never share a
-/// cache generation with v1 keys that could not express it.
-///
-/// v3: the `collectives` family (all-to-all / all-gather / all-reduce over
-/// both fabrics) and rectangular/torus geometry fields. Purely additive:
-/// every schema-2 request body still parses (see the
-/// `schema2_requests_still_parse` test), but cache generations must not mix.
-///
-/// v4: the `threads` field is gone from every family (the mesh executor is
-/// single-threaded). Older bodies that carry it still parse; the field is
-/// ignored like any unknown field.
-pub const SCHEMA_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------------
 // Per-family specifications
@@ -98,11 +78,6 @@ pub struct Table3Spec {
     /// Samples per processor row, `N`.
     pub row_len: usize,
 }
-
-/// Deprecated name of [`Table3Spec`], kept so external callers get a
-/// warning, not a break.
-#[deprecated(since = "0.2.0", note = "renamed to Table3Spec (JobSpec redesign)")]
-pub type Table3Config = Table3Spec;
 
 impl Table3Spec {
     /// The `--quick` configuration (256 processors, 256-sample rows).
@@ -119,12 +94,6 @@ impl Table3Spec {
             procs: 1024,
             row_len: 1024,
         }
-    }
-
-    /// Canonical JSON of this spec alone (the [`JobSpec::canonical_json`]
-    /// envelope adds the schema version and family tag).
-    pub fn canonical_json(&self) -> String {
-        serde_json::to_string(self).expect("Table3Spec serializes")
     }
 }
 
@@ -330,11 +299,10 @@ impl CollectivesSpec {
 // The unified JobSpec enum
 // ---------------------------------------------------------------------------
 
-/// A typed experiment request: one variant per routable experiment family.
+/// A typed experiment request: one variant per experiment family.
 ///
-/// This is the single request surface shared by `run_batch`, the `psyncd`
-/// daemon, and the direct harness binaries — anything that can run under
-/// the supervisor pool is expressed as a `JobSpec`.
+/// Anything that runs under the [`crate::supervisor`] is expressed as a
+/// `JobSpec`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
     /// The Table III transpose (reference workload).
@@ -352,7 +320,7 @@ pub enum JobSpec {
 }
 
 impl JobSpec {
-    /// The wire name of this spec's experiment family.
+    /// The name of this spec's experiment family.
     pub fn family(&self) -> &'static str {
         match self {
             JobSpec::Table3(_) => "table3",
@@ -364,58 +332,8 @@ impl JobSpec {
         }
     }
 
-    /// Every routable family name, in wire spelling.
-    pub const FAMILIES: [&'static str; 6] = [
-        "table3",
-        "perf_mesh",
-        "ablate_faults",
-        "crosscheck_models",
-        "full_matrix",
-        "collectives",
-    ];
-
-    /// The preset spec for `family`: the quick or full configuration the
-    /// corresponding harness bin runs. `None` for an unknown family.
-    pub fn preset(family: &str, quick: bool) -> Option<JobSpec> {
-        let spec = match family {
-            "table3" => JobSpec::Table3(if quick {
-                Table3Spec::quick()
-            } else {
-                Table3Spec::paper()
-            }),
-            "perf_mesh" => JobSpec::PerfMesh(if quick {
-                PerfMeshSpec::quick()
-            } else {
-                PerfMeshSpec::paper()
-            }),
-            "ablate_faults" => JobSpec::AblateFaults(if quick {
-                AblateFaultsSpec::quick()
-            } else {
-                AblateFaultsSpec::paper()
-            }),
-            "crosscheck_models" => JobSpec::CrosscheckModels(if quick {
-                CrosscheckSpec::quick()
-            } else {
-                CrosscheckSpec::paper()
-            }),
-            "full_matrix" => JobSpec::FullMatrix(if quick {
-                FullMatrixSpec::quick()
-            } else {
-                FullMatrixSpec::paper()
-            }),
-            "collectives" => JobSpec::Collectives(if quick {
-                CollectivesSpec::quick()
-            } else {
-                CollectivesSpec::paper()
-            }),
-            _ => return None,
-        };
-        Some(spec)
-    }
-
-    /// Canonical JSON for config hashing and the wire: a versioned envelope
-    /// with a stable field order, so equal specs always serialize to equal
-    /// bytes.
+    /// Canonical JSON for config hashing: a family-tagged envelope with a
+    /// stable field order, so equal specs always serialize to equal bytes.
     pub fn canonical_json(&self) -> String {
         let spec = match self {
             JobSpec::Table3(s) => serde_json::to_string(s),
@@ -426,238 +344,17 @@ impl JobSpec {
             JobSpec::Collectives(s) => serde_json::to_string(s),
         }
         .expect("job specs serialize");
-        format!(
-            "{{\"schema\":{SCHEMA_VERSION},\"family\":\"{}\",\"spec\":{spec}}}",
-            self.family()
-        )
-    }
-
-    /// Parse a spec from a decoded JSON object, e.g. the `spec` field of a
-    /// daemon `submit` request:
-    ///
-    /// ```json
-    /// {"family": "table3", "preset": "quick", "procs": 64, "row_len": 16}
-    /// ```
-    ///
-    /// `family` selects the variant; the optional `preset`
-    /// (`"quick"`/`"paper"`, default quick) supplies defaults; any known
-    /// field then overrides its default. Unknown fields are **ignored** —
-    /// newer clients can decorate requests without breaking older daemons.
-    ///
-    /// # Errors
-    /// A human-readable message naming the offending field (surfaced on the
-    /// wire as a `bad_spec` error).
-    pub fn from_value(v: &Value) -> Result<JobSpec, String> {
-        if v.as_object().is_none() {
-            return Err("spec must be a JSON object".to_string());
-        }
-        let family = v
-            .get("family")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "spec.family must be a string".to_string())?;
-        let quick = match v.get("preset").and_then(Value::as_str) {
-            None => true,
-            Some("quick") => true,
-            Some("paper") | Some("full") => false,
-            Some(other) => {
-                return Err(format!(
-                    "spec.preset {other:?} unknown (expected \"quick\" or \"paper\")"
-                ))
-            }
-        };
-        let mut spec = JobSpec::preset(family, quick).ok_or_else(|| {
-            format!(
-                "unknown family {family:?} (expected one of {:?})",
-                JobSpec::FAMILIES
-            )
-        })?;
-        let usize_field = |key: &str, default: usize| -> Result<usize, String> {
-            match v.get(key) {
-                None => Ok(default),
-                Some(f) => f
-                    .as_u64()
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| format!("spec.{key} must be a non-negative integer")),
-            }
-        };
-        match &mut spec {
-            JobSpec::Table3(s) => {
-                s.procs = usize_field("procs", s.procs)?;
-                s.row_len = usize_field("row_len", s.row_len)?;
-            }
-            JobSpec::PerfMesh(s) => {
-                s.procs = usize_field("procs", s.procs)?;
-                s.row_len = usize_field("row_len", s.row_len)?;
-                if let Some(t) = v.get("t_p") {
-                    s.t_p = t
-                        .as_u64()
-                        .ok_or_else(|| "spec.t_p must be a non-negative integer".to_string())?;
-                }
-                if let Some(p) = v.get("policy") {
-                    s.policy = p
-                        .as_str()
-                        .ok_or_else(|| "spec.policy must be a string".to_string())?
-                        .to_string();
-                }
-            }
-            JobSpec::AblateFaults(s) => {
-                s.procs = usize_field("procs", s.procs)?;
-                s.row_len = usize_field("row_len", s.row_len)?;
-                s.gathers = usize_field("gathers", s.gathers)?;
-                if let Some(r) = v.get("rates") {
-                    let items = r
-                        .as_array()
-                        .ok_or_else(|| "spec.rates must be an array of numbers".to_string())?;
-                    s.rates = items
-                        .iter()
-                        .map(|x| {
-                            x.as_f64()
-                                .ok_or_else(|| "spec.rates must be an array of numbers".to_string())
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-            }
-            JobSpec::FullMatrix(s) => {
-                if let Some(f) = v.get("fidelity") {
-                    s.fidelity = f
-                        .as_str()
-                        .ok_or_else(|| "spec.fidelity must be a string".to_string())?
-                        .to_string();
-                }
-                if let Some(r) = v.get("reference") {
-                    s.reference = r
-                        .as_bool()
-                        .ok_or_else(|| "spec.reference must be a boolean".to_string())?;
-                }
-                // `scale` follows the preset; an explicit field overrides.
-                if let Some(sc) = v.get("scale") {
-                    s.scale = sc
-                        .as_str()
-                        .ok_or_else(|| "spec.scale must be a string".to_string())?
-                        .to_string();
-                }
-            }
-            JobSpec::Collectives(s) => {
-                s.width = usize_field("width", s.width)?;
-                s.height = usize_field("height", s.height)?;
-                s.words = usize_field("words", s.words)?;
-                if let Some(t) = v.get("torus") {
-                    s.torus = t
-                        .as_bool()
-                        .ok_or_else(|| "spec.torus must be a boolean".to_string())?;
-                }
-            }
-            JobSpec::CrosscheckModels(s) => {
-                s.procs = usize_field("procs", s.procs)?;
-                s.n = usize_field("n", s.n)?;
-                if let Some(k) = v.get("ks") {
-                    let items = k
-                        .as_array()
-                        .ok_or_else(|| "spec.ks must be an array of integers".to_string())?;
-                    s.ks = items
-                        .iter()
-                        .map(|x| {
-                            x.as_u64()
-                                .and_then(|n| usize::try_from(n).ok())
-                                .ok_or_else(|| {
-                                    "spec.ks must be an array of non-negative integers".to_string()
-                                })
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-            }
-        }
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// Reject configurations the fabrics would panic on, so a bad request
-    /// is a structured error instead of a `Panicked` job report.
-    pub fn validate(&self) -> Result<(), String> {
-        let mesh_geometry = |procs: usize, row_len: usize| {
-            if procs == 0 || row_len == 0 {
-                return Err("procs and row_len must be positive".to_string());
-            }
-            let side = (procs as f64).sqrt() as usize;
-            if side * side != procs {
-                return Err(format!("procs must be a perfect square, got {procs}"));
-            }
-            Ok(())
-        };
-        match self {
-            JobSpec::Table3(s) => mesh_geometry(s.procs, s.row_len),
-            JobSpec::PerfMesh(s) => {
-                mesh_geometry(s.procs, s.row_len)?;
-                s.routing_policy().map(|_| ())
-            }
-            JobSpec::AblateFaults(s) => {
-                mesh_geometry(s.procs, s.row_len)?;
-                if s.gathers == 0 {
-                    return Err("gathers must be at least 1".to_string());
-                }
-                if s.rates.is_empty() {
-                    return Err("rates must be non-empty".to_string());
-                }
-                for &r in &s.rates {
-                    if !r.is_finite() || !(0.0..1.0).contains(&r) {
-                        return Err(format!("rates must be finite in [0, 1), got {r}"));
-                    }
-                }
-                Ok(())
-            }
-            JobSpec::CrosscheckModels(s) => {
-                if s.procs == 0 || s.n == 0 {
-                    return Err("procs and n must be positive".to_string());
-                }
-                if !s.n.is_power_of_two() {
-                    return Err(format!("n must be a power of two, got {}", s.n));
-                }
-                if s.ks.is_empty() {
-                    return Err("ks must be non-empty".to_string());
-                }
-                for &k in &s.ks {
-                    if k == 0 || k > s.n || !k.is_power_of_two() {
-                        return Err(format!(
-                            "each k must be a power of two in [1, n={}], got {k}",
-                            s.n
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            JobSpec::FullMatrix(s) => {
-                if s.scale != "quick" && s.scale != "paper" {
-                    return Err(format!(
-                        "scale must be \"quick\" or \"paper\", got {:?}",
-                        s.scale
-                    ));
-                }
-                s.policy().map(|_| ()).map_err(|e| format!("fidelity: {e}"))
-            }
-            JobSpec::Collectives(s) => {
-                if s.width < 2 || s.height < 2 {
-                    return Err(format!(
-                        "width and height must each be at least 2 (a corner memif \
-                         must leave collective participants), got {}x{}",
-                        s.width, s.height
-                    ));
-                }
-                if s.words == 0 {
-                    return Err("words must be at least 1".to_string());
-                }
-                Ok(())
-            }
-        }
+        format!("{{\"family\":\"{}\",\"spec\":{spec}}}", self.family())
     }
 
     /// Run the experiment this spec describes to its deterministic result
-    /// JSON (the bytes the cache stores and the daemon streams), plus any
-    /// telemetry registries when `tracing`.
+    /// JSON (the bytes the cache stores), plus any telemetry registries
+    /// when `tracing`.
     ///
     /// # Errors
     /// A classified [`WorkError`]: `Cancelled` when the interrupt fired,
-    /// `Transient` for conditions worth a retry (mesh no-progress
-    /// watchdog), `Fatal` for everything else.
+    /// `Fatal` for everything else (the mesh no-progress watchdog
+    /// included: a rerun would wedge at the same cycle).
     pub fn run(
         &self,
         tracing: bool,
@@ -712,15 +409,10 @@ impl JobSpec {
     }
 }
 
-/// Classify a fabric error for the retry policy.
+/// Classify a mesh error: cancellation, or a failure.
 fn classify_mesh(e: MeshError) -> WorkError {
     match &e {
         MeshError::Cancelled { .. } => WorkError::Cancelled {
-            detail: e.to_string(),
-        },
-        // A mesh that deadlocks or trips its watchdog under a fault layer
-        // is worth one more try; real bugs fail again identically.
-        MeshError::NoProgress { .. } => WorkError::Transient {
             detail: e.to_string(),
         },
         _ => WorkError::Fatal {
@@ -928,7 +620,7 @@ pub fn perf_mesh_point(
 /// on the photonic side.
 #[derive(Debug, Clone, Serialize)]
 pub struct CollectiveRow {
-    /// Collective wire label (`alltoall` / `allgather` / `allreduce`).
+    /// Collective label (`alltoall` / `allgather` / `allreduce`).
     pub collective: String,
     /// `"mesh"` or `"sca"`.
     pub fabric: String,
@@ -1407,7 +1099,7 @@ pub struct MatrixRow {
 pub struct FullMatrixResult {
     /// Point sizing used.
     pub scale: String,
-    /// Requested fidelity policy (wire spelling).
+    /// Requested fidelity policy, in [`FidelityPolicy::parse`] spelling.
     pub fidelity: String,
     /// Whether the reference pass ran.
     pub reference: bool,
@@ -1665,38 +1357,14 @@ pub fn cache_key(spec: &JobSpec, timeout_s: Option<f64>) -> u64 {
 
 /// Package `spec` as a supervised job body: single-flight cache lookup
 /// keyed on [`cache_key`], simulation on miss, structured error
-/// classification — the one code path `run_batch` and `psyncd` both route
-/// jobs through.
-///
-/// * `job_token` — an optional per-job cancel source (the daemon's `cancel`
-///   verb). The watch is armed **now**, at build time, so a cancel that
-///   lands while the job is still queued is honored before any simulation
-///   starts. It composes with whatever interrupt the supervisor arms
-///   (per-attempt deadline + batch-wide cancel).
-/// * `progress` — an optional probe every fabric poll publishes its
-///   position to (the daemon's `progress` event stream).
+/// classification — the code path `run_batch` routes its jobs through.
 pub fn supervised_work(
     spec: JobSpec,
     timeout_s: Option<f64>,
     cache: Arc<ResultCache>,
-    job_token: Option<&CancelToken>,
-    progress: Option<Progress>,
-) -> Arc<Work> {
-    let watch = job_token.map(CancelToken::watch);
-    Arc::new(move |interrupt| {
-        let mut intr = interrupt.unwrap_or_default();
-        if let Some(w) = &watch {
-            if w.is_cancelled() {
-                return Err(WorkError::Cancelled {
-                    detail: "job cancelled before the attempt started".to_string(),
-                });
-            }
-            intr = intr.with_watch(w.clone());
-        }
-        if let Some(p) = &progress {
-            intr = intr.with_progress(p.clone());
-        }
-        let intr = intr.is_armed().then_some(&intr);
+) -> Box<Work> {
+    Box::new(move |interrupt| {
+        let intr = interrupt.is_armed().then_some(&interrupt);
         let key = cache_key(&spec, timeout_s);
         let (entry, cached) =
             cache.get_or_build(key, || spec.run(false, intr).map(|(json, _)| json))?;
@@ -1758,183 +1426,13 @@ mod tests {
     #[test]
     fn canonical_json_is_stable() {
         assert_eq!(
-            Table3Spec::quick().canonical_json(),
-            r#"{"procs":256,"row_len":256}"#
-        );
-        assert_eq!(
             JobSpec::Table3(Table3Spec::quick()).canonical_json(),
-            r#"{"schema":4,"family":"table3","spec":{"procs":256,"row_len":256}}"#
+            r#"{"family":"table3","spec":{"procs":256,"row_len":256}}"#
         );
         assert_eq!(
             JobSpec::Collectives(CollectivesSpec::quick()).canonical_json(),
-            r#"{"schema":4,"family":"collectives","spec":{"width":4,"height":4,"torus":false,"words":4}}"#
+            r#"{"family":"collectives","spec":{"width":4,"height":4,"torus":false,"words":4}}"#
         );
-    }
-
-    #[test]
-    fn schema2_requests_still_parse() {
-        // Exact request bodies schema-2 clients sent (including ones that
-        // decorated the spec with the old schema number — unknown fields
-        // are ignored by contract). The v3 bump is additive only.
-        for body in [
-            r#"{"family":"table3","procs":64,"row_len":64}"#,
-            r#"{"schema":2,"family":"table3","preset":"quick"}"#,
-            r#"{"family":"perf_mesh","policy":"xy","t_p":4,"procs":16,"row_len":4}"#,
-            r#"{"family":"ablate_faults","rates":[0.0,0.01],"procs":16,"row_len":8,"gathers":2}"#,
-            r#"{"family":"crosscheck_models","procs":8,"n":64,"ks":[1,4]}"#,
-            r#"{"family":"full_matrix","fidelity":"auto:0.05","reference":true}"#,
-        ] {
-            let spec = parse(body).unwrap_or_else(|e| panic!("{body}: {e}"));
-            spec.validate().expect("schema-2 bodies stay valid");
-        }
-        // Schema-3 bodies carried a `threads` field (any value, 0
-        // included); v4 parses them and ignores it.
-        for (legacy, current) in [
-            (
-                r#"{"schema":3,"family":"table3","procs":64,"row_len":64,"threads":4}"#,
-                r#"{"family":"table3","procs":64,"row_len":64}"#,
-            ),
-            (
-                r#"{"family":"perf_mesh","policy":"xy","t_p":4,"procs":16,"row_len":4,"threads":2}"#,
-                r#"{"family":"perf_mesh","policy":"xy","t_p":4,"procs":16,"row_len":4}"#,
-            ),
-            (
-                r#"{"family":"ablate_faults","rates":[0.0,0.01],"gathers":2,"threads":0}"#,
-                r#"{"family":"ablate_faults","rates":[0.0,0.01],"gathers":2}"#,
-            ),
-            (
-                r#"{"family":"collectives","width":4,"height":4,"words":4,"threads":3}"#,
-                r#"{"family":"collectives","width":4,"height":4,"words":4}"#,
-            ),
-        ] {
-            let spec = parse(legacy).unwrap_or_else(|e| panic!("{legacy}: {e}"));
-            spec.validate().expect("schema-3 bodies stay valid");
-            assert_eq!(spec, parse(current).unwrap(), "{legacy}");
-        }
-    }
-
-    #[test]
-    fn from_value_parses_collectives_geometry() {
-        let spec = parse(r#"{"family":"collectives","width":8,"height":2,"torus":true,"words":3}"#)
-            .unwrap();
-        match &spec {
-            JobSpec::Collectives(s) => {
-                assert_eq!((s.width, s.height, s.torus, s.words), (8, 2, true, 3));
-                assert_eq!(s.topology().label(), "8x2t");
-            }
-            other => panic!("expected Collectives, got {other:?}"),
-        }
-        let err = parse(r#"{"family":"collectives","width":1}"#).unwrap_err();
-        assert!(err.contains("at least 2"), "{err}");
-        let err = parse(r#"{"family":"collectives","torus":3}"#).unwrap_err();
-        assert!(err.contains("torus"), "{err}");
-    }
-
-    #[test]
-    fn deprecated_alias_still_compiles() {
-        #[allow(deprecated)]
-        let cfg: Table3Config = Table3Spec::quick();
-        assert_eq!(cfg, Table3Spec::quick());
-    }
-
-    #[test]
-    fn presets_cover_every_family() {
-        for family in JobSpec::FAMILIES {
-            for quick in [true, false] {
-                let spec = JobSpec::preset(family, quick).expect("preset exists");
-                assert_eq!(spec.family(), family);
-                spec.validate().expect("presets validate");
-                assert!(spec.canonical_json().contains(family));
-            }
-        }
-        assert!(JobSpec::preset("nonsense", true).is_none());
-    }
-
-    fn parse(s: &str) -> Result<JobSpec, String> {
-        JobSpec::from_value(&serde_json::from_str(s).expect("test specs are valid JSON"))
-    }
-
-    #[test]
-    fn from_value_applies_preset_then_overrides() {
-        let spec = parse(r#"{"family":"table3","procs":16,"row_len":8}"#).unwrap();
-        assert_eq!(
-            spec,
-            JobSpec::Table3(Table3Spec {
-                procs: 16,
-                row_len: 8,
-            })
-        );
-        let spec = parse(r#"{"family":"table3","preset":"paper"}"#).unwrap();
-        assert_eq!(spec, JobSpec::Table3(Table3Spec::paper()));
-    }
-
-    #[test]
-    fn from_value_tolerates_unknown_fields() {
-        let spec = parse(
-            r#"{"family":"table3","procs":16,"row_len":8,"future_field":{"x":1},"note":"hi"}"#,
-        )
-        .unwrap();
-        assert_eq!(spec.family(), "table3");
-    }
-
-    #[test]
-    fn from_value_parses_every_family() {
-        let pm = parse(r#"{"family":"perf_mesh","policy":"xy","t_p":4,"procs":16,"row_len":4}"#)
-            .unwrap();
-        match &pm {
-            JobSpec::PerfMesh(s) => {
-                assert_eq!(s.routing_policy().unwrap(), RoutingPolicy::Xy);
-                assert_eq!(s.t_p, 4);
-            }
-            other => panic!("expected PerfMesh, got {other:?}"),
-        }
-        let af = parse(
-            r#"{"family":"ablate_faults","rates":[0.0,0.01],"procs":16,"row_len":8,"gathers":2}"#,
-        )
-        .unwrap();
-        match &af {
-            JobSpec::AblateFaults(s) => assert_eq!(s.rates, vec![0.0, 0.01]),
-            other => panic!("expected AblateFaults, got {other:?}"),
-        }
-        let cc = parse(r#"{"family":"crosscheck_models","procs":4,"n":16,"ks":[1,2]}"#).unwrap();
-        match &cc {
-            JobSpec::CrosscheckModels(s) => assert_eq!(s.ks, vec![1, 2]),
-            other => panic!("expected CrosscheckModels, got {other:?}"),
-        }
-        let fm =
-            parse(r#"{"family":"full_matrix","fidelity":"auto:0.1","reference":false}"#).unwrap();
-        match &fm {
-            JobSpec::FullMatrix(s) => {
-                assert_eq!(s.fidelity, "auto:0.1");
-                assert!(!s.reference);
-                assert_eq!(s.scale, "quick");
-            }
-            other => panic!("expected FullMatrix, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn from_value_rejects_bad_specs_with_named_fields() {
-        for (bad, needle) in [
-            (r#"{"procs":16}"#, "family"),
-            (r#"{"family":"warp_drive"}"#, "unknown family"),
-            (r#"{"family":"table3","preset":"slow"}"#, "preset"),
-            (r#"{"family":"table3","procs":"many"}"#, "procs"),
-            (r#"{"family":"table3","procs":15}"#, "perfect square"),
-            (r#"{"family":"table3","procs":0}"#, "positive"),
-            (r#"{"family":"perf_mesh","policy":"warp"}"#, "policy"),
-            (r#"{"family":"ablate_faults","rates":[2.0]}"#, "rates"),
-            (r#"{"family":"ablate_faults","rates":[]}"#, "rates"),
-            (r#"{"family":"ablate_faults","gathers":0}"#, "gathers"),
-            (r#"{"family":"crosscheck_models","ks":[3]}"#, "power of two"),
-            (r#"{"family":"crosscheck_models","n":100}"#, "power of two"),
-            (r#"{"family":"full_matrix","fidelity":"warp"}"#, "fidelity"),
-            (r#"{"family":"full_matrix","scale":"huge"}"#, "scale"),
-        ] {
-            let err = parse(bad).expect_err(bad);
-            assert!(err.contains(needle), "{bad}: {err:?} lacks {needle:?}");
-        }
-        assert!(JobSpec::from_value(&Value::Str("x".into())).is_err());
     }
 
     #[test]
@@ -1979,8 +1477,48 @@ mod tests {
         assert_ne!(cache_key(&a, None), cache_key(&a, Some(1.0)));
         // The canonical envelope itself parses as JSON.
         let v = serde_json::from_str(&a.canonical_json()).unwrap();
-        assert_eq!(v.get("schema").and_then(Value::as_u64), Some(4));
-        assert_eq!(v.get("family").and_then(Value::as_str), Some("table3"));
+        assert_eq!(
+            v.get("family").and_then(serde::Value::as_str),
+            Some("table3")
+        );
+        assert!(v.get("spec").is_some());
+    }
+
+    #[test]
+    fn presets_cover_every_family() {
+        let quick = [
+            JobSpec::Table3(Table3Spec::quick()),
+            JobSpec::PerfMesh(PerfMeshSpec::quick()),
+            JobSpec::AblateFaults(AblateFaultsSpec::quick()),
+            JobSpec::CrosscheckModels(CrosscheckSpec::quick()),
+            JobSpec::FullMatrix(FullMatrixSpec::quick()),
+            JobSpec::Collectives(CollectivesSpec::quick()),
+        ];
+        let paper = [
+            JobSpec::Table3(Table3Spec::paper()),
+            JobSpec::PerfMesh(PerfMeshSpec::paper()),
+            JobSpec::AblateFaults(AblateFaultsSpec::paper()),
+            JobSpec::CrosscheckModels(CrosscheckSpec::paper()),
+            JobSpec::FullMatrix(FullMatrixSpec::paper()),
+            JobSpec::Collectives(CollectivesSpec::paper()),
+        ];
+        let families: Vec<&str> = quick.iter().map(JobSpec::family).collect();
+        assert_eq!(
+            families,
+            [
+                "table3",
+                "perf_mesh",
+                "ablate_faults",
+                "crosscheck_models",
+                "full_matrix",
+                "collectives"
+            ]
+        );
+        for (q, p) in quick.iter().zip(&paper) {
+            assert_eq!(q.family(), p.family());
+            assert!(q.canonical_json().contains(q.family()));
+            assert_ne!(q.canonical_json(), p.canonical_json(), "{}", q.family());
+        }
     }
 
     #[test]
@@ -2088,51 +1626,35 @@ mod tests {
     }
 
     #[test]
-    fn supervised_work_caches_and_honors_job_token() {
+    fn supervised_work_caches() {
         let cache = Arc::new(ResultCache::new());
         let spec = JobSpec::Table3(tiny());
-        let work = supervised_work(spec.clone(), None, Arc::clone(&cache), None, None);
-        let first = work(None).expect("tiny job runs");
+        let first = supervised_work(spec.clone(), None, Arc::clone(&cache))(Interrupt::new())
+            .expect("tiny job runs");
         assert!(!first.cached);
-        let again = work(None).expect("cache hit");
+        let again =
+            supervised_work(spec, None, Arc::clone(&cache))(Interrupt::new()).expect("cache hit");
         assert!(again.cached);
         assert_eq!(first.json, again.json, "byte-identical from the cache");
         assert_eq!(first.fingerprint, again.fingerprint);
-
-        // A token cancelled while the job is still queued prevents any run.
-        let token = CancelToken::new();
-        let cancelled = supervised_work(
-            JobSpec::Table3(Table3Spec {
-                procs: 64,
-                ..tiny()
-            }),
-            None,
-            Arc::clone(&cache),
-            Some(&token),
-            None,
-        );
-        token.cancel();
-        match cancelled(None) {
-            Err(WorkError::Cancelled { detail }) => {
-                assert!(detail.contains("before the attempt"), "{detail}")
-            }
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
     }
 
     #[test]
-    fn supervised_work_reports_progress() {
-        let cache = Arc::new(ResultCache::new());
-        let probe = Progress::new();
-        let work = supervised_work(
-            JobSpec::Table3(tiny()),
-            None,
-            cache,
-            None,
-            Some(probe.clone()),
+    fn no_progress_is_a_failure_not_a_cancellation() {
+        let wedged = MeshError::NoProgress {
+            at_cycle: 7,
+            report: Box::new(emesh::MeshDiagnostic {
+                killed_routers: vec![13],
+                in_flight: 1,
+                pending_inject: 0,
+                pending_retransmits: 0,
+                stuck_routers: vec![(14, 1)],
+                stats: MeshFaultStats::default(),
+            }),
+        };
+        assert!(
+            matches!(classify_mesh(wedged), WorkError::Fatal { .. }),
+            "a wedged mesh is reported failed, not retried or cancelled"
         );
-        work(None).expect("tiny job runs");
-        assert!(probe.polls() > 0, "fabric polls published progress");
-        assert!(probe.cycle().is_some());
     }
 }

@@ -1,93 +1,33 @@
 //! Supervised job execution for experiment batches.
 //!
-//! A [`Supervisor`] owns a small pool of worker threads fed from a
-//! **bounded** queue. Each submitted job runs with:
+//! A [`Supervisor`] owns one worker thread fed from a queue. Running the
+//! jobs off the main thread leaves the caller free to watch for SIGINT and
+//! turn it into [`Supervisor::cancel_all`] (the drain loop in `run_batch`).
+//! Each submitted job runs with:
 //!
 //! * **panic isolation** — the job body runs under `catch_unwind`; a panic
 //!   becomes a structured [`JobError::Panicked`] report (payload string
-//!   preserved) and the worker *respawns itself* with a fresh stack before
-//!   exiting, so one poisoned experiment cannot take the pool down;
+//!   preserved) and the worker goes on to the next job;
 //! * **a per-job deadline** — `timeout_s` arms a [`Deadline`] inside the
 //!   [`Interrupt`] handed to the job, which the fabrics poll at cycle
 //!   granularity;
-//! * **retry with capped exponential backoff** — a job that fails with
-//!   [`WorkError::Transient`] is retried up to `max_attempts` times; the
-//!   backoff doubles from `backoff_base_ms` up to `backoff_cap_ms`, plus a
-//!   *deterministic* jitter derived from `(seed, job id, attempt)` so
-//!   reports are reproducible while herds still decorrelate;
-//! * **backpressure** — submitting to a full queue fails fast with
-//!   [`JobError::QueueFull`] carrying a suggested retry delay, instead of
-//!   blocking the producer;
 //! * **cooperative cancellation** — [`Supervisor::cancel_all`] trips a
-//!   shared [`CancelToken`]; running jobs are
-//!   cancelled mid-simulation by their interrupt, queued jobs report
-//!   [`JobError::Cancelled`] without running, and the batch drains cleanly
-//!   (the SIGINT path in `run_batch`).
+//!   shared [`CancelToken`]; the running job is cancelled mid-simulation by
+//!   its interrupt, queued jobs report [`JobError::Cancelled`] without
+//!   running, and the batch drains cleanly.
+//!
+//! Every job runs at most once: the simulators are deterministic (fault
+//! draws included), so a failed job would fail the same way again.
 //!
 //! Every submitted job produces exactly one [`JobReport`], success or not —
 //! the invariant the drain loop counts on.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sim_core::cancel::{CancelToken, CancelWatch, Deadline, Interrupt};
-
-use crate::cache::fnv1a64;
-
-/// Pool sizing and retry policy.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// Worker threads (≥ 1).
-    pub workers: usize,
-    /// Bounded queue capacity; a submit beyond this fails with
-    /// [`JobError::QueueFull`].
-    pub queue_cap: usize,
-    /// Attempts per job (1 = no retries).
-    pub max_attempts: u32,
-    /// First retry backoff, milliseconds.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling, milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            workers: 1,
-            queue_cap: 64,
-            max_attempts: 3,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 1000,
-            seed: 0,
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Backoff before retry `attempt` (2-based: the sleep after attempt
-    /// `attempt - 1` failed), for `job_id`: capped exponential plus a
-    /// deterministic jitter in `[0, backoff_base_ms)` hashed from
-    /// `(seed, job_id, attempt)`.
-    pub fn backoff_ms(&self, job_id: u64, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(2).min(32);
-        let base = (self.backoff_base_ms << shift).min(self.backoff_cap_ms);
-        let jitter = if self.backoff_base_ms == 0 {
-            0
-        } else {
-            let mut bytes = Vec::with_capacity(20);
-            bytes.extend_from_slice(&self.seed.to_le_bytes());
-            bytes.extend_from_slice(&job_id.to_le_bytes());
-            bytes.extend_from_slice(&attempt.to_le_bytes());
-            fnv1a64(&bytes) % self.backoff_base_ms
-        };
-        base + jitter
-    }
-}
 
 /// What a job body returns on success.
 #[derive(Debug, Clone)]
@@ -100,22 +40,15 @@ pub struct JobSuccess {
     pub fingerprint: u64,
 }
 
-/// How a job body failed. The supervisor decides retry vs. give-up from
-/// the variant, so the body must classify its own errors.
+/// How a job body failed.
 #[derive(Debug, Clone)]
 pub enum WorkError {
-    /// The job's interrupt fired (deadline, cancel-all token, …). Never
-    /// retried — the cause won't go away.
+    /// The job's interrupt fired (deadline, cancel-all token, …).
     Cancelled {
         /// The fabric's structured cancellation message.
         detail: String,
     },
-    /// A failure worth retrying (e.g. a transient resource error).
-    Transient {
-        /// What went wrong.
-        detail: String,
-    },
-    /// A failure retrying cannot fix (bad configuration, simulation bug).
+    /// Any other failure (bad configuration, wedged mesh, simulation bug).
     Fatal {
         /// What went wrong.
         detail: String,
@@ -126,7 +59,6 @@ impl std::fmt::Display for WorkError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WorkError::Cancelled { detail } => write!(f, "Cancelled: {detail}"),
-            WorkError::Transient { detail } => write!(f, "transient: {detail}"),
             WorkError::Fatal { detail } => write!(f, "{detail}"),
         }
     }
@@ -137,7 +69,7 @@ impl std::error::Error for WorkError {}
 /// Terminal failure recorded in a [`JobReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
-    /// The job body panicked; the worker respawned.
+    /// The job body panicked.
     Panicked {
         /// The panic payload, stringified.
         payload: String,
@@ -147,18 +79,10 @@ pub enum JobError {
         /// The structured cancellation message.
         detail: String,
     },
-    /// The job failed on every attempt.
+    /// The job failed.
     Failed {
-        /// The final attempt's error.
+        /// What went wrong.
         detail: String,
-        /// Attempts made.
-        attempts: u32,
-    },
-    /// The submit was rejected: the bounded queue is full. Carries a
-    /// suggested producer-side delay before resubmitting.
-    QueueFull {
-        /// Suggested wait before retrying the submit, milliseconds.
-        retry_after_ms: u64,
     },
 }
 
@@ -167,12 +91,7 @@ impl std::fmt::Display for JobError {
         match self {
             JobError::Panicked { payload } => write!(f, "panicked: {payload}"),
             JobError::Cancelled { detail } => write!(f, "Cancelled: {detail}"),
-            JobError::Failed { detail, attempts } => {
-                write!(f, "failed after {attempts} attempts: {detail}")
-            }
-            JobError::QueueFull { retry_after_ms } => {
-                write!(f, "queue full; retry after {retry_after_ms} ms")
-            }
+            JobError::Failed { detail } => write!(f, "failed: {detail}"),
         }
     }
 }
@@ -186,305 +105,147 @@ pub struct JobReport {
     pub id: u64,
     /// The job's name.
     pub name: String,
-    /// Attempts actually made (0 when cancelled before the first).
-    pub attempts: u32,
-    /// Total backoff slept between attempts, milliseconds (deterministic).
-    pub backoff_ms_total: u64,
     /// The outcome.
     pub result: Result<JobSuccess, JobError>,
 }
 
-/// A job body: takes the interrupt the supervisor armed for this attempt
-/// (deadline + batch cancel token; `None` when neither is configured) and
-/// returns the result bytes. Must be re-runnable — retries call it again.
-pub type Work = dyn Fn(Option<Interrupt>) -> Result<JobSuccess, WorkError> + Send + Sync;
+/// A job body: takes the interrupt the supervisor armed for it (batch
+/// cancel token, plus the deadline when one is set) and returns the result
+/// bytes.
+pub type Work = dyn FnOnce(Interrupt) -> Result<JobSuccess, WorkError> + Send;
 
 struct Job {
     id: u64,
     name: String,
     timeout_s: Option<f64>,
-    work: Arc<Work>,
+    work: Box<Work>,
 }
 
-/// Queue states: open (accepting + serving), or closed (serve remainder,
-/// then workers exit).
-struct Queue {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-struct Shared {
-    cfg: SupervisorConfig,
-    queue: Mutex<Queue>,
-    queue_changed: Condvar,
-    reports: mpsc::Sender<JobReport>,
-    cancel: CancelToken,
-    /// Watch armed at pool construction: any `cancel_all` after that is
-    /// visible to every worker.
-    watch: CancelWatch,
-    live_workers: Mutex<usize>,
-    workers_changed: Condvar,
-    respawns: AtomicU64,
-}
-
-impl Shared {
-    fn pop(&self) -> Option<Job> {
-        let mut q = self.queue.lock().expect("queue lock poisoned");
-        loop {
-            if let Some(job) = q.jobs.pop_front() {
-                return Some(job);
-            }
-            if q.closed {
-                return None;
-            }
-            q = self.queue_changed.wait(q).expect("queue lock poisoned");
-        }
-    }
-}
-
-/// The worker pool. Dropping it without calling [`Supervisor::shutdown`]
-/// closes the queue and detaches the workers (they finish the backlog).
+/// The single-worker job runner. Dropping it without calling
+/// [`Supervisor::shutdown`] closes the queue and detaches the worker (it
+/// finishes the backlog).
 pub struct Supervisor {
-    shared: Arc<Shared>,
-    /// Behind a mutex so a `Supervisor` can be shared (`Arc`) across the
-    /// daemon's connection handlers and reaper thread; only one consumer
-    /// drains reports at a time.
-    reports: Mutex<mpsc::Receiver<JobReport>>,
-    next_id: AtomicU64,
-    submitted: AtomicU64,
+    jobs: mpsc::Sender<Job>,
+    reports: mpsc::Receiver<JobReport>,
+    cancel: CancelToken,
+    worker: JoinHandle<()>,
+    submitted: u64,
 }
+
+/// Name of the worker thread. `run_batch` suppresses default panic-hook
+/// noise for this thread, so keep the two in sync.
+pub const WORKER_THREAD: &str = "sup-worker";
 
 impl Supervisor {
-    /// Spawn the pool.
+    /// Spawn the worker.
     ///
     /// # Panics
-    /// On `workers == 0`, `queue_cap == 0`, or `max_attempts == 0` (a
-    /// misconfigured harness, not a runtime condition), or if the OS
-    /// refuses to spawn a thread.
-    pub fn new(cfg: SupervisorConfig) -> Self {
-        assert!(cfg.workers >= 1, "supervisor needs at least one worker");
-        assert!(cfg.queue_cap >= 1, "queue capacity must be positive");
-        assert!(cfg.max_attempts >= 1, "jobs need at least one attempt");
-        let (tx, rx) = mpsc::channel();
+    /// If the OS refuses to spawn a thread.
+    pub fn new() -> Self {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let (report_tx, reports) = mpsc::channel();
         let cancel = CancelToken::new();
-        let shared = Arc::new(Shared {
-            cfg,
-            queue: Mutex::new(Queue {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            queue_changed: Condvar::new(),
-            reports: tx,
-            watch: cancel.watch(),
-            cancel,
-            live_workers: Mutex::new(cfg.workers),
-            workers_changed: Condvar::new(),
-            respawns: AtomicU64::new(0),
-        });
-        for idx in 0..cfg.workers {
-            spawn_worker(Arc::clone(&shared), idx, 0);
-        }
+        // Armed now: any `cancel_all` after construction is visible to
+        // every job.
+        let watch = cancel.watch();
+        let worker = std::thread::Builder::new()
+            .name(WORKER_THREAD.to_string())
+            .spawn(move || {
+                for job in queue {
+                    // The receiver outlives the worker until shutdown
+                    // returns; a send failure means the whole supervisor was
+                    // abandoned, and dropping the report is the only option.
+                    let _ = report_tx.send(run_job(&watch, job));
+                }
+            })
+            .expect("spawn supervisor worker");
         Supervisor {
-            shared,
-            reports: Mutex::new(rx),
-            next_id: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
+            jobs,
+            reports,
+            cancel,
+            worker,
+            submitted: 0,
         }
     }
 
-    /// Enqueue a job. Returns its id, or [`JobError::QueueFull`] when the
-    /// bounded queue is at capacity (nothing is enqueued; resubmit after
-    /// the suggested delay).
+    /// Enqueue a job and return its id (ids count up from 0 in submit
+    /// order).
     pub fn submit(
-        &self,
+        &mut self,
         name: impl Into<String>,
         timeout_s: Option<f64>,
-        work: Arc<Work>,
-    ) -> Result<u64, JobError> {
-        let name = name.into();
-        let mut q = self.shared.queue.lock().expect("queue lock poisoned");
-        assert!(!q.closed, "submit after shutdown");
-        if q.jobs.len() >= self.shared.cfg.queue_cap {
-            return Err(JobError::QueueFull {
-                retry_after_ms: self.shared.cfg.backoff_base_ms.max(1),
-            });
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        q.jobs.push_back(Job {
-            id,
-            name,
-            timeout_s,
-            work,
-        });
-        drop(q);
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.shared.queue_changed.notify_one();
-        Ok(id)
+        work: Box<Work>,
+    ) -> u64 {
+        let id = self.submitted;
+        self.jobs
+            .send(Job {
+                id,
+                name: name.into(),
+                timeout_s,
+                work,
+            })
+            .expect("supervisor worker alive");
+        self.submitted += 1;
+        id
     }
 
     /// Jobs accepted so far (each will produce exactly one report).
     pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
+        self.submitted
     }
 
-    /// Workers respawned after a panic so far.
-    pub fn respawns(&self) -> u64 {
-        self.shared.respawns.load(Ordering::Relaxed)
-    }
-
-    /// Trip the batch-wide cancel token: running jobs are interrupted at
-    /// their fabrics' next poll, queued jobs report `Cancelled` without
-    /// running. Safe to call from a signal-handler-adjacent context (the
-    /// token is a single atomic store).
+    /// Trip the batch-wide cancel token: the running job is interrupted at
+    /// its fabrics' next poll, queued jobs report `Cancelled` without
+    /// running.
     pub fn cancel_all(&self) {
-        self.shared.cancel.cancel();
-        // Wake idle workers so a cancelled empty batch still drains.
-        self.shared.queue_changed.notify_all();
+        self.cancel.cancel();
     }
 
-    /// Wait up to `timeout` for the next report. `None` on timeout or when
-    /// every worker has exited and no report is pending.
+    /// Wait up to `timeout` for the next report. `None` on timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<JobReport> {
-        self.reports
-            .lock()
-            .expect("report receiver lock poisoned")
-            .recv_timeout(timeout)
-            .ok()
+        self.reports.recv_timeout(timeout).ok()
     }
 
-    /// Close the queue, wait for the workers to finish the backlog, and
+    /// Close the queue, wait for the worker to finish the backlog, and
     /// return every report not yet consumed via
-    /// [`Supervisor::recv_timeout`], in completion order. The supervisor
-    /// stays queryable afterwards ([`Supervisor::respawns`] etc.), but
-    /// further submits panic.
-    pub fn shutdown(&self) -> Vec<JobReport> {
-        {
-            let mut q = self.shared.queue.lock().expect("queue lock poisoned");
-            q.closed = true;
-        }
-        self.shared.queue_changed.notify_all();
-        {
-            let mut live = self
-                .shared
-                .live_workers
-                .lock()
-                .expect("worker count lock poisoned");
-            while *live > 0 {
-                live = self
-                    .shared
-                    .workers_changed
-                    .wait(live)
-                    .expect("worker count lock poisoned");
-            }
-        }
-        self.reports
-            .lock()
-            .expect("report receiver lock poisoned")
-            .try_iter()
-            .collect()
+    /// [`Supervisor::recv_timeout`], in completion order.
+    pub fn shutdown(self) -> Vec<JobReport> {
+        drop(self.jobs);
+        self.worker.join().expect("supervisor worker never unwinds");
+        self.reports.try_iter().collect()
     }
 }
 
-impl Drop for Supervisor {
-    fn drop(&mut self) {
-        // Close the queue so idle workers exit instead of blocking forever;
-        // busy workers finish the backlog detached.
-        if let Ok(mut q) = self.shared.queue.lock() {
-            q.closed = true;
-        }
-        self.shared.queue_changed.notify_all();
+impl Default for Supervisor {
+    fn default() -> Self {
+        Supervisor::new()
     }
 }
 
-fn spawn_worker(shared: Arc<Shared>, idx: usize, generation: u64) {
-    std::thread::Builder::new()
-        // `run_batch` suppresses default panic-hook noise for threads with
-        // this name prefix, so keep it in sync with the bin.
-        .name(format!("sup-worker-{idx}-g{generation}"))
-        .spawn(move || worker_loop(shared, idx, generation))
-        .expect("spawn supervisor worker");
-}
-
-fn worker_loop(shared: Arc<Shared>, idx: usize, generation: u64) {
-    while let Some(job) = shared.pop() {
-        let report = run_job(&shared, &job);
-        let panicked = matches!(report.result, Err(JobError::Panicked { .. }));
-        // The receiver outlives the workers (the Supervisor holds it until
-        // shutdown returns); a send failure means the whole pool was
-        // abandoned, in which case dropping the report is the only option.
-        let _ = shared.reports.send(report);
-        if panicked {
-            // Replace ourselves with a fresh stack: bump the live count
-            // *before* this thread exits so shutdown can never observe a
-            // moment with the worker missing.
-            {
-                let mut live = shared
-                    .live_workers
-                    .lock()
-                    .expect("worker count lock poisoned");
-                *live += 1;
-            }
-            shared.respawns.fetch_add(1, Ordering::Relaxed);
-            spawn_worker(Arc::clone(&shared), idx, generation + 1);
-            break;
-        }
-    }
-    let mut live = shared
-        .live_workers
-        .lock()
-        .expect("worker count lock poisoned");
-    *live -= 1;
-    drop(live);
-    shared.workers_changed.notify_all();
-}
-
-/// Run one job to a terminal report: deadline + cancel checks, panic
-/// isolation, transient-retry loop.
-fn run_job(shared: &Shared, job: &Job) -> JobReport {
-    let cfg = &shared.cfg;
-    let mut attempts = 0u32;
-    let mut backoff_ms_total = 0u64;
-    let result = loop {
-        // Batch-wide cancellation wins before (re)starting work.
-        if shared.watch.is_cancelled() {
-            break Err(JobError::Cancelled {
-                detail: "batch cancelled before the attempt started".to_string(),
-            });
-        }
-        attempts += 1;
-        // Arm a fresh deadline per attempt (a retry gets the full budget)
-        // plus the batch cancel token.
-        let mut intr = Interrupt::new().with_watch(shared.watch.clone());
+/// Run one job to its report: cancel check, deadline, panic isolation.
+fn run_job(watch: &CancelWatch, job: Job) -> JobReport {
+    let result = if watch.is_cancelled() {
+        Err(JobError::Cancelled {
+            detail: "batch cancelled before the attempt started".to_string(),
+        })
+    } else {
+        let mut intr = Interrupt::new().with_watch(watch.clone());
         if let Some(s) = job.timeout_s {
             intr = intr.with_deadline(Deadline::after_secs_f64(s));
         }
-        let work = Arc::clone(&job.work);
-        match catch_unwind(AssertUnwindSafe(move || (work)(Some(intr)))) {
-            Err(payload) => {
-                break Err(JobError::Panicked {
-                    payload: panic_payload_string(payload.as_ref()),
-                })
-            }
-            Ok(Ok(success)) => break Ok(success),
-            Ok(Err(WorkError::Cancelled { detail })) => break Err(JobError::Cancelled { detail }),
-            Ok(Err(WorkError::Fatal { detail })) => {
-                break Err(JobError::Failed { detail, attempts })
-            }
-            Ok(Err(WorkError::Transient { detail })) => {
-                if attempts >= cfg.max_attempts {
-                    break Err(JobError::Failed { detail, attempts });
-                }
-                let ms = cfg.backoff_ms(job.id, attempts + 1);
-                backoff_ms_total += ms;
-                std::thread::sleep(Duration::from_millis(ms));
-            }
+        let work = job.work;
+        match catch_unwind(AssertUnwindSafe(move || work(intr))) {
+            Err(payload) => Err(JobError::Panicked {
+                payload: panic_payload_string(payload.as_ref()),
+            }),
+            Ok(Ok(success)) => Ok(success),
+            Ok(Err(WorkError::Cancelled { detail })) => Err(JobError::Cancelled { detail }),
+            Ok(Err(WorkError::Fatal { detail })) => Err(JobError::Failed { detail }),
         }
     };
     JobReport {
         id: job.id,
-        name: job.name.clone(),
-        attempts,
-        backoff_ms_total,
+        name: job.name,
         result,
     }
 }
@@ -504,25 +265,16 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use crate::cache::fnv1a64;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::{Arc, Condvar, Mutex};
 
-    fn quiet_cfg() -> SupervisorConfig {
-        SupervisorConfig {
-            workers: 2,
-            queue_cap: 8,
-            max_attempts: 3,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 4,
-            seed: 7,
-        }
-    }
-
-    fn ok_work(json: &str) -> Arc<Work> {
+    fn ok_work(json: &str) -> Box<Work> {
         let json = json.to_string();
-        Arc::new(move |_| {
+        Box::new(move |_| {
             Ok(JobSuccess {
                 fingerprint: fnv1a64(json.as_bytes()),
-                json: json.clone(),
+                json,
                 cached: false,
             })
         })
@@ -530,136 +282,84 @@ mod tests {
 
     #[test]
     fn completes_jobs_and_reports_each_exactly_once() {
-        let sup = Supervisor::new(quiet_cfg());
+        let mut sup = Supervisor::new();
         for i in 0..5 {
-            sup.submit(format!("job-{i}"), None, ok_work(&format!("r{i}")))
-                .unwrap();
+            sup.submit(format!("job-{i}"), None, ok_work(&format!("r{i}")));
         }
         let reports = sup.shutdown();
         assert_eq!(reports.len(), 5);
-        let mut names: Vec<String> = reports.iter().map(|r| r.name.clone()).collect();
-        names.sort();
+        let names: Vec<String> = reports.iter().map(|r| r.name.clone()).collect();
         assert_eq!(
             names,
-            (0..5).map(|i| format!("job-{i}")).collect::<Vec<_>>()
+            (0..5).map(|i| format!("job-{i}")).collect::<Vec<_>>(),
+            "one worker serves jobs in submit order"
         );
         for r in &reports {
             let s = r.result.as_ref().expect("all jobs succeed");
-            assert_eq!(r.attempts, 1);
             assert!(!s.cached);
             assert_eq!(s.fingerprint, fnv1a64(s.json.as_bytes()));
         }
     }
 
     #[test]
-    fn panic_is_isolated_and_worker_respawns() {
-        let sup = Supervisor::new(SupervisorConfig {
-            workers: 1,
-            ..quiet_cfg()
-        });
+    fn panic_is_isolated_and_the_worker_serves_on() {
+        let mut sup = Supervisor::new();
         sup.submit(
             "boom",
             None,
-            Arc::new(|_| panic!("forced panic: supervisor test")),
-        )
-        .unwrap();
-        // The pool must still serve work after the panic: same single
-        // worker slot, fresh thread.
-        sup.submit("after", None, ok_work("fine")).unwrap();
+            Box::new(|_| panic!("forced panic: supervisor test")),
+        );
+        // The worker must still serve work after the panic.
+        sup.submit("after", None, ok_work("fine"));
         let reports = sup.shutdown();
         assert_eq!(reports.len(), 2);
-        let boom = reports.iter().find(|r| r.name == "boom").unwrap();
-        match &boom.result {
+        match &reports[0].result {
             Err(JobError::Panicked { payload }) => {
                 assert_eq!(payload, "forced panic: supervisor test");
             }
             other => panic!("expected Panicked, got {other:?}"),
         }
-        let after = reports.iter().find(|r| r.name == "after").unwrap();
-        assert!(after.result.is_ok(), "pool survives the panic");
-        assert_eq!(sup.respawns(), 1, "exactly one worker was replaced");
+        assert!(reports[1].result.is_ok(), "worker survives the panic");
     }
 
     #[test]
-    fn transient_failures_retry_with_deterministic_backoff() {
-        let cfg = quiet_cfg();
-        let sup = Supervisor::new(cfg);
+    fn fatal_failure_runs_once_and_is_reported_failed() {
+        let mut sup = Supervisor::new();
         let calls = Arc::new(AtomicU32::new(0));
         let c = Arc::clone(&calls);
         sup.submit(
-            "flaky",
+            "wedged",
             None,
-            Arc::new(move |_| {
-                if c.fetch_add(1, Ordering::SeqCst) < 2 {
-                    Err(WorkError::Transient {
-                        detail: "not yet".to_string(),
-                    })
-                } else {
-                    Ok(JobSuccess {
-                        json: "{}".to_string(),
-                        cached: false,
-                        fingerprint: fnv1a64(b"{}"),
-                    })
-                }
-            }),
-        )
-        .unwrap();
-        let reports = sup.shutdown();
-        assert_eq!(reports.len(), 1);
-        let r = &reports[0];
-        assert!(r.result.is_ok());
-        assert_eq!(r.attempts, 3);
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-        // Backoff total is the deterministic function of (seed, id=0,
-        // attempts 2 and 3).
-        assert_eq!(
-            r.backoff_ms_total,
-            cfg.backoff_ms(0, 2) + cfg.backoff_ms(0, 3)
-        );
-    }
-
-    #[test]
-    fn transient_exhaustion_is_failed_with_attempt_count() {
-        let sup = Supervisor::new(quiet_cfg());
-        sup.submit(
-            "hopeless",
-            None,
-            Arc::new(|_| {
-                Err(WorkError::Transient {
-                    detail: "always down".to_string(),
+            Box::new(move |_| {
+                c.fetch_add(1, Ordering::SeqCst);
+                Err(WorkError::Fatal {
+                    detail: "mesh made no progress".to_string(),
                 })
             }),
-        )
-        .unwrap();
+        );
         let reports = sup.shutdown();
         match &reports[0].result {
-            Err(JobError::Failed { detail, attempts }) => {
-                assert_eq!(detail, "always down");
-                assert_eq!(*attempts, 3);
-            }
+            Err(JobError::Failed { detail }) => assert_eq!(detail, "mesh made no progress"),
             other => panic!("expected Failed, got {other:?}"),
         }
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "no retry");
     }
 
     #[test]
     fn deadline_is_armed_and_cancels_the_attempt() {
-        let sup = Supervisor::new(quiet_cfg());
+        let mut sup = Supervisor::new();
         sup.submit(
             "deadline",
             Some(0.0),
-            Arc::new(|intr| {
-                let mut intr = intr.expect("timeout arms an interrupt");
-                match intr.check(0) {
-                    Some(cause) => Err(WorkError::Cancelled {
-                        detail: format!("Cancelled at poll 0 ({cause})"),
-                    }),
-                    None => Err(WorkError::Fatal {
-                        detail: "expired deadline did not fire".to_string(),
-                    }),
-                }
+            Box::new(|mut intr| match intr.check(0) {
+                Some(cause) => Err(WorkError::Cancelled {
+                    detail: format!("Cancelled at poll 0 ({cause})"),
+                }),
+                None => Err(WorkError::Fatal {
+                    detail: "expired deadline did not fire".to_string(),
+                }),
             }),
-        )
-        .unwrap();
+        );
         let reports = sup.shutdown();
         match &reports[0].result {
             Err(JobError::Cancelled { detail }) => {
@@ -667,66 +367,19 @@ mod tests {
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
-        assert_eq!(reports[0].attempts, 1, "cancellation is not retried");
-    }
-
-    #[test]
-    fn queue_full_is_reported_with_backpressure_hint() {
-        let sup = Supervisor::new(SupervisorConfig {
-            workers: 1,
-            queue_cap: 1,
-            ..quiet_cfg()
-        });
-        // Park the single worker so the queue cannot drain.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        sup.submit(
-            "parked",
-            None,
-            Arc::new(move |_| {
-                let (lock, cv) = &*g;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-                Ok(JobSuccess {
-                    json: "{}".to_string(),
-                    cached: false,
-                    fingerprint: fnv1a64(b"{}"),
-                })
-            }),
-        )
-        .unwrap();
-        // Give the worker a moment to take "parked" off the queue, then
-        // fill the single slot and overflow it.
-        std::thread::sleep(Duration::from_millis(20));
-        sup.submit("queued", None, ok_work("q")).unwrap();
-        let err = sup.submit("overflow", None, ok_work("o")).unwrap_err();
-        match err {
-            JobError::QueueFull { retry_after_ms } => assert!(retry_after_ms >= 1),
-            other => panic!("expected QueueFull, got {other:?}"),
-        }
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        let reports = sup.shutdown();
-        assert_eq!(reports.len(), 2, "the rejected job was never enqueued");
     }
 
     #[test]
     fn cancel_all_drains_queued_jobs_without_running_them() {
-        // One worker parked on a gate; three more jobs queued behind it.
-        let sup = Supervisor::new(SupervisorConfig {
-            workers: 1,
-            ..quiet_cfg()
-        });
+        // The worker parked on a gate; three more jobs queued behind it.
+        let mut sup = Supervisor::new();
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g = Arc::clone(&gate);
         let ran = Arc::new(AtomicU32::new(0));
         sup.submit(
             "parked",
             None,
-            Arc::new(move |intr| {
+            Box::new(move |mut intr| {
                 let (lock, cv) = &*g;
                 let mut open = lock.lock().unwrap();
                 while !*open {
@@ -734,7 +387,6 @@ mod tests {
                 }
                 // After the gate opens the batch is cancelled: a polling
                 // fabric would see it immediately.
-                let mut intr = intr.expect("cancel token arms the interrupt");
                 match intr.check(0) {
                     Some(cause) => Err(WorkError::Cancelled {
                         detail: format!("Cancelled mid-run ({cause})"),
@@ -744,14 +396,13 @@ mod tests {
                     }),
                 }
             }),
-        )
-        .unwrap();
+        );
         for i in 0..3 {
             let ran = Arc::clone(&ran);
             sup.submit(
                 format!("queued-{i}"),
                 None,
-                Arc::new(move |_| {
+                Box::new(move |_| {
                     ran.fetch_add(1, Ordering::SeqCst);
                     Ok(JobSuccess {
                         json: "{}".to_string(),
@@ -759,8 +410,7 @@ mod tests {
                         fingerprint: fnv1a64(b"{}"),
                     })
                 }),
-            )
-            .unwrap();
+            );
         }
         sup.cancel_all();
         let (lock, cv) = &*gate;
@@ -777,28 +427,5 @@ mod tests {
                 r.result
             );
         }
-    }
-
-    #[test]
-    fn backoff_is_capped_exponential_with_stable_jitter() {
-        let cfg = SupervisorConfig {
-            backoff_base_ms: 8,
-            backoff_cap_ms: 32,
-            seed: 3,
-            ..SupervisorConfig::default()
-        };
-        // Deterministic: same inputs, same value.
-        assert_eq!(cfg.backoff_ms(5, 2), cfg.backoff_ms(5, 2));
-        // Base doubles then caps; jitter stays under base.
-        for (attempt, base) in [(2u32, 8u64), (3, 16), (4, 32), (5, 32), (9, 32)] {
-            let ms = cfg.backoff_ms(1, attempt);
-            assert!(
-                (base..base + 8).contains(&ms),
-                "attempt {attempt}: {ms} not in [{base}, {})",
-                base + 8
-            );
-        }
-        // Different jobs decorrelate.
-        assert_ne!(cfg.backoff_ms(1, 2), cfg.backoff_ms(2, 2));
     }
 }

@@ -1,7 +1,7 @@
-//! The `Experiment` writer path must stay byte-identical to the seed's
-//! `write_json` (pretty serde_json straight to `results/<name>.json`): the
-//! committed goldens are diffed byte-for-byte by CI, so any drift in
-//! formatting or routing here shows up as a spurious golden churn.
+//! The `Experiment` writer path must write exactly pretty serde_json to
+//! `results/<name>.json`: the committed goldens are diffed byte-for-byte by
+//! CI, so any drift in formatting or routing here shows up as a spurious
+//! golden churn.
 
 use bench::Experiment;
 use serde::Serialize;

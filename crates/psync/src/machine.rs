@@ -141,12 +141,6 @@ impl MachineConfig {
         }
     }
 
-    /// Default machine for `procs` processors and `dram_words` of storage.
-    #[deprecated(since = "0.1.0", note = "use MachineConfig::paper_default instead")]
-    pub fn new(procs: usize, dram_words: usize) -> Self {
-        MachineConfig::paper_default(procs, dram_words)
-    }
-
     /// Set the die edge in millimetres.
     #[must_use]
     pub fn with_die_mm(mut self, die_mm: f64) -> Self {

@@ -97,56 +97,6 @@ impl CancelWatch {
     }
 }
 
-/// A shared partial-progress probe: the latest progress counter a running
-/// simulation reported through its [`Interrupt`] polls.
-///
-/// Attach one with [`Interrupt::with_progress`]; every `check(cycle)` then
-/// publishes `cycle` with a single relaxed store, and any thread holding a
-/// clone can read the run's most recent position without touching the
-/// fabric. This is the plumbing the experiment daemon's `progress` events
-/// stream from: the poll sites the cancellation layer already owns double
-/// as progress reports, so no fabric needs a second instrumentation path.
-///
-/// The counter unit is whatever the polling loop counts (serviced cycles
-/// for the mesh, gather attempts for PSCAN, phases for the machine) and is
-/// monotone within one run. `u64::MAX` means "no poll observed yet".
-#[derive(Debug, Clone, Default)]
-pub struct Progress {
-    cycle: Arc<AtomicU64>,
-    polls: Arc<AtomicU64>,
-}
-
-impl Progress {
-    /// A fresh probe with no observations.
-    pub fn new() -> Self {
-        Progress {
-            cycle: Arc::new(AtomicU64::new(u64::MAX)),
-            polls: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// The most recently polled progress counter, or `None` before the
-    /// first poll.
-    pub fn cycle(&self) -> Option<u64> {
-        match self.cycle.load(Ordering::Relaxed) {
-            u64::MAX => None,
-            c => Some(c),
-        }
-    }
-
-    /// Total interrupt polls observed (over all fabrics sharing the probe).
-    pub fn polls(&self) -> u64 {
-        self.polls.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn record(&self, cycle: u64) {
-        // Saturate just below the "unobserved" sentinel.
-        self.cycle.store(cycle.min(u64::MAX - 1), Ordering::Relaxed);
-        self.polls.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// A wall-clock deadline.
 #[derive(Debug, Clone, Copy)]
 pub struct Deadline {
@@ -219,7 +169,6 @@ pub struct Interrupt {
     watches: Vec<CancelWatch>,
     deadline: Option<Deadline>,
     at_cycle: Option<u64>,
-    progress: Option<Progress>,
     /// Polls remaining until the next deadline check; 0 = check now.
     countdown: u32,
 }
@@ -264,23 +213,9 @@ impl Interrupt {
         self
     }
 
-    /// Also publish every polled progress counter to `probe` (clones share
-    /// the underlying atomics). Progress reporting alone does not arm the
-    /// interrupt: an interrupt carrying only a probe never fires, but each
-    /// poll still publishes its position.
-    pub fn with_progress(mut self, probe: Progress) -> Self {
-        self.progress = Some(probe);
-        self
-    }
-
     /// Whether any source is armed; an empty interrupt can be skipped.
-    /// A progress probe by itself does not arm the interrupt for
-    /// cancellation, but it still wants polls, so it counts here.
     pub fn is_armed(&self) -> bool {
-        !self.watches.is_empty()
-            || self.deadline.is_some()
-            || self.at_cycle.is_some()
-            || self.progress.is_some()
+        !self.watches.is_empty() || self.deadline.is_some() || self.at_cycle.is_some()
     }
 
     /// Poll all sources with the host loop's progress counter (`cycle` in
@@ -290,9 +225,6 @@ impl Interrupt {
     /// (throttled) deadline.
     #[inline]
     pub fn check(&mut self, cycle: u64) -> Option<CancelCause> {
-        if let Some(p) = &self.progress {
-            p.record(cycle);
-        }
         if let Some(bound) = self.at_cycle {
             if cycle >= bound {
                 return Some(CancelCause::CycleReached { bound });
@@ -441,41 +373,6 @@ mod tests {
         assert_eq!(i.check(0), None);
         job.cancel();
         assert_eq!(i.check(1), Some(CancelCause::Cancelled));
-    }
-
-    #[test]
-    fn progress_probe_publishes_polled_cycles() {
-        let probe = Progress::new();
-        assert_eq!(probe.cycle(), None, "unobserved before the first poll");
-        let mut i = Interrupt::new().with_progress(probe.clone());
-        assert!(i.is_armed(), "a probe wants polls");
-        assert_eq!(i.check(0), None, "a probe alone never cancels");
-        assert_eq!(probe.cycle(), Some(0));
-        assert_eq!(i.check(417), None);
-        assert_eq!(probe.cycle(), Some(417));
-        assert_eq!(probe.polls(), 2);
-    }
-
-    #[test]
-    fn progress_probe_composes_with_cancellation_sources() {
-        let probe = Progress::new();
-        let t = CancelToken::new();
-        let mut i = Interrupt::new().with_progress(probe.clone()).with_token(&t);
-        assert_eq!(i.check(9), None);
-        t.cancel();
-        assert_eq!(i.check(10), Some(CancelCause::Cancelled));
-        assert_eq!(probe.cycle(), Some(10), "the firing poll still publishes");
-    }
-
-    #[test]
-    fn progress_probe_is_shared_across_clones() {
-        let probe = Progress::new();
-        let mut a = Interrupt::new().with_progress(probe.clone());
-        let mut b = a.clone();
-        a.check(5);
-        b.check(7);
-        assert_eq!(probe.cycle(), Some(7));
-        assert_eq!(probe.polls(), 2);
     }
 
     #[test]

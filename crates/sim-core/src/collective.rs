@@ -3,8 +3,8 @@
 //! The electronic mesh (`emesh::collectives`) and the photonic SCA machine
 //! (`psync::collectives`) generate traffic for the same three collectives;
 //! this module is the single definition of *which* collectives exist, their
-//! wire labels, and their phase names, so harnesses and the service layer
-//! can parse and compare results across fabrics without string drift.
+//! labels, and their phase names, so harnesses and job specs can parse
+//! and compare results across fabrics without string drift.
 
 use serde::{Deserialize, Serialize};
 
