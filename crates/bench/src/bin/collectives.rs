@@ -60,7 +60,7 @@ fn main() -> Result<(), BenchError> {
         for collective in Collective::ALL {
             eprintln!("collectives: {} on mesh {geom} ...", collective.label());
             let t0 = Instant::now();
-            let mesh = collective_mesh_row(&spec, collective, None)
+            let mesh = collective_mesh_row(&spec, collective)
                 .map_err(|e| BenchError::run("collectives", e))?;
             let wall_s = t0.elapsed().as_secs_f64();
             rows.push(Row {
@@ -78,7 +78,7 @@ fn main() -> Result<(), BenchError> {
             for collective in Collective::ALL {
                 eprintln!("collectives: {} on sca p{procs} ...", collective.label());
                 let t0 = Instant::now();
-                let (sca, _) = collective_sca_row(&spec, collective, false)
+                let sca = collective_sca_row(&spec, collective)
                     .map_err(|e| BenchError::run("collectives", e))?;
                 let wall_s = t0.elapsed().as_secs_f64();
                 rows.push(Row {

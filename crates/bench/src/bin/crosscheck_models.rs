@@ -31,33 +31,16 @@ use std::time::Instant;
 use analytic::model::{FftParams, ModelIi};
 use analytic::table3::Table3Params;
 use bench::crosscheck::{
-    check, check_exact_u64, failures, predict_model2, witness, CheckRow, TOL_ALGEBRAIC,
-    TOL_CLOSED_FORM, TOL_EQ21_MESH, TOL_LINE_RATE,
+    check, check_exact_u64, failures, predict_model2, signal_rows, table3_writeback, witness,
+    CheckRow, TOL_ALGEBRAIC, TOL_CLOSED_FORM, TOL_EQ21_MESH, TOL_LINE_RATE,
 };
 use bench::{f, BenchError, Experiment};
 use emesh::mesh::{MeshConfig, RoutingPolicy};
 use emesh::topology::{MemifPlacement, Topology};
 use emesh::workloads::{eq21_delivery_cycles, load_scatter};
-use fft::Complex64;
 use pscan::compiler::GatherSpec;
 use pscan::faults::PscanFaultConfig;
 use pscan::network::{Pscan, PscanConfig};
-
-/// Deterministic test signal: one `n`-sample row per processor.
-fn signal_rows(procs: usize, n: usize) -> Vec<Vec<Complex64>> {
-    (0..procs)
-        .map(|p| {
-            (0..n)
-                .map(|i| {
-                    Complex64::new(
-                        ((p * 31 + i) as f64 * 0.1).sin(),
-                        ((i * 17 + p) as f64 * 0.05).cos(),
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
 
 /// Check 1: Eq. 11/14 vs the overlapped Model II machine.
 fn check_eq11_model2(quick: bool, rows_out: &mut Vec<CheckRow>) {
@@ -101,31 +84,23 @@ fn check_table3_pscan(quick: bool, rows_out: &mut Vec<CheckRow>) {
     let point = format!("P={procs},N={row_len}");
     eprintln!("crosscheck: table3 gather at {point} ...");
     let t0 = Instant::now();
-    let pscan = Pscan::new(PscanConfig::paper_default().with_nodes(procs));
-    let spec = GatherSpec {
-        slot_source: (0..procs * row_len).map(|k| k % procs).collect(),
-    };
-    let data: Vec<Vec<u64>> = (0..procs).map(|p| vec![p as u64; row_len]).collect();
-    let out = pscan
-        .gather(&spec, &data)
-        .expect("gather compiles and runs");
+    let wb = table3_writeback(procs, row_len).expect("gather compiles and runs");
     let wall = t0.elapsed().as_secs_f64();
 
     // A gap-free SCA moving S samples at one word per slot spans exactly S
     // slots at the terminus.
     let payload = (procs * row_len) as u64;
-    let span_slots = out.last_arrival.since(out.first_arrival).as_ps() / pscan.slot().as_ps() + 1;
     rows_out.push(check_exact_u64(
         "table3_span",
         &point,
-        span_slots,
+        wb.span_slots,
         payload,
         wall,
     ));
     rows_out.push(check(
         "table3_utilization",
         &point,
-        out.utilization,
+        wb.utilization,
         1.0,
         0.0,
         payload,
@@ -138,11 +113,10 @@ fn check_table3_pscan(quick: bool, rows_out: &mut Vec<CheckRow>) {
         p: procs as u64,
         ..Default::default()
     };
-    let headers = payload.div_ceil(t3.s_r / t3.s_b);
     rows_out.push(check_exact_u64(
         "table3_cycles",
         &point,
-        payload + headers,
+        wb.cycles(),
         t3.pscan_cycles(),
         wall,
     ));

@@ -23,7 +23,7 @@
 //! cargo run --release -p bench --bin full_matrix -- --write-envelopes
 //! ```
 
-use bench::fidelity::{ValidationRegistry, REGISTRY_RELATIVE_PATH};
+use bench::fidelity::{FidelityPolicy, ValidationRegistry, REGISTRY_RELATIVE_PATH};
 use bench::jobs::{run_full_matrix, FullMatrixResult, FullMatrixSpec, FullMatrixTiming};
 use bench::{f, BenchError, Experiment};
 use serde::Serialize;
@@ -123,8 +123,8 @@ fn main() -> Result<(), BenchError> {
         return write_envelopes();
     }
 
-    // The committed registry must match the envelope catalog compiled into
-    // this binary — the same byte-for-byte check the library tests make.
+    // The committed registry must parse; the library tests hold it
+    // byte-equal to the envelope catalog compiled into this binary.
     match ValidationRegistry::load_committed() {
         Ok(_) => {}
         Err(e) => {
@@ -138,8 +138,8 @@ fn main() -> Result<(), BenchError> {
 
     let quick = ex.quick();
     let spec = FullMatrixSpec {
-        scale: if quick { "quick" } else { "paper" }.to_string(),
-        fidelity: ex.fidelity().wire(),
+        quick,
+        fidelity: ex.fidelity(),
         // Reference defaults: measured per-PR at quick scale, opt-in at
         // paper scale (the reference is the expensive part by design).
         reference: reference.unwrap_or(quick),
@@ -151,7 +151,7 @@ fn main() -> Result<(), BenchError> {
 
     // The matrix's own guarantee: rows 19–21 sit outside every validated
     // region, so any registry-consulting policy exercises the fallback.
-    if spec.fidelity != "cycle_accurate" {
+    if spec.fidelity != FidelityPolicy::CycleAccurate {
         assert!(
             result.cycle_accurate_rows >= 1,
             "no cycle-accurate fallback row — the registry accepted every \
@@ -216,7 +216,7 @@ fn main() -> Result<(), BenchError> {
         result.rows.len(),
         result.analytic_rows,
         result.cycle_accurate_rows,
-        spec.fidelity,
+        result.fidelity,
     )];
     if result.reference {
         notes.push(format!(

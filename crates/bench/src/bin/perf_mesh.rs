@@ -37,8 +37,8 @@ fn run_one(
     t_p: u64,
     interrupt: Option<&Interrupt>,
 ) -> Result<PerfRow, MeshError> {
-    // The simulation core is shared with the `perf_mesh` job family in
-    // [`bench::jobs`]; this bin adds the wall-clock-derived columns.
+    // The simulation core lives in [`bench::jobs`]; this bin adds the
+    // wall-clock-derived columns.
     let point = perf_mesh_point(procs, row_len, policy, t_p, interrupt)?;
     let (cycles, flit_moves, wall_s) = (point.cycles, point.flit_moves, point.wall_s);
     Ok(PerfRow {

@@ -1,12 +1,14 @@
 //! Supervised experiment batch driver — the `run_batch` bin.
 //!
-//! Runs a batch of Table III jobs under the [`bench::supervisor`] worker
-//! with the [`bench::cache`] exact result cache, demonstrating every
+//! Runs a batch of Table III jobs under the [`bench::supervisor`] worker.
+//! Every simulating job is one [`bench::jobs::table3_work`] body: a
+//! [`bench::cache`] lookup keyed on the spec plus the deadline bits, then
+//! [`bench::jobs::run_table3`] on a miss. The batch demonstrates every
 //! structured outcome the supervision layer produces:
 //!
 //! * **pass** — the job simulated to completion; its result JSON is written
 //!   to `results/batch/<job>.json` and is byte-identical to what the direct
-//!   `table3_transpose` bin writes (same [`bench::jobs`] code path);
+//!   `table3_transpose` bin writes (both serialize the same `Table3Row`);
 //! * **cached** — a duplicate configuration served from the result cache
 //!   without re-simulating, with the same fingerprint as the pass;
 //! * **deadline** — a job submitted with a zero deadline, cancelled at the
@@ -34,8 +36,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bench::cache::{fingerprint_hex, ResultCache};
-use bench::jobs::{supervised_work, JobSpec, Table3Spec};
-use bench::supervisor::{JobError, JobReport, JobSuccess, Supervisor, Work, WORKER_THREAD};
+use bench::jobs::{table3_work, Table3Spec};
+use bench::supervisor::{JobError, JobReport, JobSuccess, Supervisor, WORKER_THREAD};
 use bench::{BenchError, Experiment};
 use serde::Serialize;
 
@@ -117,13 +119,6 @@ fn row_for(report: &JobReport) -> BatchRow {
         fingerprint,
         detail,
     }
-}
-
-/// A supervised Table III job body via the shared [`bench::jobs`] builder:
-/// cache lookup keyed on the canonical spec JSON plus the deadline bits,
-/// simulation on miss.
-fn table3_work(cfg: Table3Spec, timeout_s: Option<f64>, cache: Arc<ResultCache>) -> Box<Work> {
-    supervised_work(JobSpec::Table3(cfg), timeout_s, cache)
 }
 
 fn main() -> Result<(), BenchError> {

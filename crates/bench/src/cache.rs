@@ -2,25 +2,24 @@
 //!
 //! Every simulator in this workspace is deterministic: the same
 //! configuration always produces the same result bytes. That makes caching
-//! trivial to reason about — the key is a hash of the *canonical
-//! configuration JSON* (plus anything else that can change the outcome,
-//! e.g. a deadline), and a hit returns the exact bytes a fresh run would
-//! have produced. There is no staleness: an entry is valid for the life of
-//! the process.
+//! trivial to reason about — the key is a hash of the job's configuration
+//! (plus anything else that can change the outcome, e.g. a deadline), and a
+//! hit returns the exact bytes a fresh run would have produced. There is no
+//! staleness: an entry is valid for the life of the process.
 //!
-//! The cache is **single-flight**: when two jobs race on the same key, one
-//! builds while the others block on a condvar, so an expensive simulation
-//! never runs twice. Each entry also records a FNV-1a fingerprint of the
-//! result bytes — the same witness the perf-gate golden comparison uses —
-//! so a batch report can prove which bytes a cache hit handed out.
+//! The cache is a plain memo: a lookup that misses runs the build without
+//! holding the lock and stores the result only if the build succeeds. The
+//! supervisor runs one job at a time, so two builds of one key never race.
+//! Each entry also records a FNV-1a fingerprint of the result bytes — the
+//! same witness the perf-gate golden comparison uses — so a batch report
+//! can prove which bytes a cache hit handed out.
 //!
 //! Hit/miss counters are readable at any time via [`ResultCache::stats`]
 //! and exportable into a telemetry [`Registry`] via
 //! [`ResultCache::record_telemetry`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use sim_core::telemetry::Registry;
 
@@ -30,10 +29,10 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over `bytes`: the workspace's canonical cheap stable hash, used
-/// both for cache keys (over config JSON) and result fingerprints (over
-/// result JSON). Not a cryptographic hash; collisions are astronomically
-/// unlikely at batch scale but would only ever substitute one deterministic
-/// result for another with the same recorded fingerprint.
+/// both for cache keys (over the job configuration) and result fingerprints
+/// (over result JSON). Not a cryptographic hash; collisions are
+/// astronomically unlikely at batch scale but would only ever substitute
+/// one deterministic result for another with the same recorded fingerprint.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
@@ -59,31 +58,28 @@ pub struct CacheEntry {
     pub fingerprint: u64,
 }
 
-/// Per-key slot: either someone is building, or the entry is ready.
-enum Slot {
-    Building,
-    Ready(Arc<CacheEntry>),
-}
-
 /// Point-in-time counters of a [`ResultCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served without running the builder (including waits on
-    /// another caller's in-flight build).
+    /// Lookups served without running the builder.
     pub hits: u64,
     /// Lookups that ran the builder.
     pub misses: u64,
-    /// Ready entries currently stored.
+    /// Entries currently stored.
     pub entries: u64,
 }
 
-/// The exact-match, single-flight result cache.
+#[derive(Default)]
+struct Memo {
+    entries: HashMap<u64, Arc<CacheEntry>>,
+    hits: u64,
+    misses: u64,
+}
+
+/// The exact-match result cache.
 #[derive(Default)]
 pub struct ResultCache {
-    slots: Mutex<HashMap<u64, Slot>>,
-    changed: Condvar,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    memo: Mutex<Memo>,
 }
 
 impl ResultCache {
@@ -93,94 +89,49 @@ impl ResultCache {
         ResultCache::default()
     }
 
-    /// Look up `key`; on a miss run `build` (exactly once across all
-    /// concurrent callers of this key) and store its result. Returns the
-    /// entry plus whether it was a hit (`true` = served without running
-    /// `build`; callers that waited for another thread's in-flight build
-    /// also count as hits).
+    fn lock(&self) -> std::sync::MutexGuard<'_, Memo> {
+        self.memo.lock().expect("cache lock poisoned")
+    }
+
+    /// Look up `key`; on a miss run `build` and store its result. Returns
+    /// the entry plus whether it was a hit (`true` = served without running
+    /// `build`).
     ///
-    /// If `build` fails — by error **or by panic** — the slot is released
-    /// so a later caller can retry; waiting callers wake and race to become
-    /// the next builder. A panic propagates to the caller (where the batch
-    /// supervisor's `catch_unwind` turns it into a structured report).
+    /// If `build` fails — by error **or by panic** — nothing is stored, so
+    /// a later lookup of the key builds again. The lock is not held while
+    /// `build` runs, so a panic propagates to the caller (where the batch
+    /// supervisor's `catch_unwind` turns it into a structured report)
+    /// without poisoning the cache.
     pub fn get_or_build<E>(
         &self,
         key: u64,
         build: impl FnOnce() -> Result<String, E>,
     ) -> Result<(Arc<CacheEntry>, bool), E> {
         {
-            let mut slots = self.slots.lock().expect("cache lock poisoned");
-            loop {
-                match slots.get(&key) {
-                    Some(Slot::Ready(entry)) => {
-                        let entry = Arc::clone(entry);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok((entry, true));
-                    }
-                    Some(Slot::Building) => {
-                        slots = self.changed.wait(slots).expect("cache lock poisoned");
-                    }
-                    None => {
-                        slots.insert(key, Slot::Building);
-                        break;
-                    }
-                }
+            let mut memo = self.lock();
+            if let Some(entry) = memo.entries.get(&key).cloned() {
+                memo.hits += 1;
+                return Ok((entry, true));
             }
+            memo.misses += 1;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // We own the building slot; run the (possibly expensive) build
-        // without holding the lock. The guard releases the slot if `build`
-        // panics — otherwise every waiter on this key would block forever
-        // (the supervisor catches job panics *outside* the cache).
-        struct BuildGuard<'a> {
-            cache: &'a ResultCache,
-            key: u64,
-            armed: bool,
-        }
-        impl Drop for BuildGuard<'_> {
-            fn drop(&mut self) {
-                if self.armed {
-                    if let Ok(mut slots) = self.cache.slots.lock() {
-                        slots.remove(&self.key);
-                    }
-                    self.cache.changed.notify_all();
-                }
-            }
-        }
-        let mut guard = BuildGuard {
-            cache: self,
+        let result_json = build()?;
+        let entry = Arc::new(CacheEntry {
             key,
-            armed: true,
-        };
-        match build() {
-            Ok(result_json) => {
-                let entry = Arc::new(CacheEntry {
-                    key,
-                    fingerprint: fnv1a64(result_json.as_bytes()),
-                    result_json,
-                });
-                let mut slots = self.slots.lock().expect("cache lock poisoned");
-                slots.insert(key, Slot::Ready(Arc::clone(&entry)));
-                guard.armed = false;
-                drop(slots);
-                self.changed.notify_all();
-                Ok((entry, false))
-            }
-            // The guard's Drop removes the building slot and wakes waiters.
-            Err(e) => Err(e),
-        }
+            fingerprint: fnv1a64(result_json.as_bytes()),
+            result_json,
+        });
+        self.lock().entries.insert(key, Arc::clone(&entry));
+        Ok((entry, false))
     }
 
     /// Point-in-time counters.
     pub fn stats(&self) -> CacheStats {
-        let slots = self.slots.lock().expect("cache lock poisoned");
+        let memo = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: slots
-                .values()
-                .filter(|s| matches!(s, Slot::Ready(_)))
-                .count() as u64,
+            hits: memo.hits,
+            misses: memo.misses,
+            entries: memo.entries.len() as u64,
         }
     }
 
@@ -192,12 +143,12 @@ impl ResultCache {
         reg.counter_set("cache.entries", s.entries);
     }
 
-    /// Ready entries currently stored.
+    /// Entries currently stored.
     pub fn len(&self) -> usize {
-        self.stats().entries as usize
+        self.lock().entries.len()
     }
 
-    /// Whether no ready entry is stored.
+    /// Whether no entry is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -206,7 +157,6 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
 
     #[test]
     fn fnv1a64_matches_reference_vectors() {
@@ -219,22 +169,17 @@ mod tests {
     #[test]
     fn hit_returns_identical_bytes_without_rebuilding() {
         let cache = ResultCache::new();
-        let builds = AtomicU32::new(0);
-        let build = || -> Result<String, ()> {
-            builds.fetch_add(1, Ordering::SeqCst);
-            Ok("{\"x\":1}".to_string())
-        };
-        let (a, hit_a) = cache.get_or_build(7, build).unwrap();
+        let (a, hit_a) = cache
+            .get_or_build(7, || Ok::<_, ()>("{\"x\":1}".to_string()))
+            .unwrap();
         let (b, hit_b) = cache
             .get_or_build(7, || -> Result<String, ()> { unreachable!("must hit") })
             .unwrap();
         assert!(!hit_a);
         assert!(hit_b);
-        assert_eq!(builds.load(Ordering::SeqCst), 1);
         assert_eq!(a.result_json, b.result_json);
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.fingerprint, fnv1a64(b"{\"x\":1}"));
-        assert_eq!(cache.len(), 1);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
@@ -245,9 +190,10 @@ mod tests {
         let (a, _) = cache
             .get_or_build(1, || Ok::<_, ()>("one".to_string()))
             .unwrap();
-        let (b, _) = cache
+        let (b, hit) = cache
             .get_or_build(2, || Ok::<_, ()>("two".to_string()))
             .unwrap();
+        assert!(!hit, "another key never hits");
         assert_ne!(a.result_json, b.result_json);
         assert_eq!(cache.len(), 2);
     }
@@ -259,7 +205,7 @@ mod tests {
             .get_or_build(9, || Err::<String, _>("boom"))
             .unwrap_err();
         assert_eq!(err, "boom");
-        assert!(cache.is_empty());
+        assert!(cache.is_empty(), "a failed build stores nothing");
         let (e, hit) = cache
             .get_or_build(9, || Ok::<_, ()>("recovered".to_string()))
             .unwrap();
@@ -269,49 +215,19 @@ mod tests {
 
     #[test]
     fn panicking_build_releases_the_slot_for_waiters() {
-        let cache = Arc::new(ResultCache::new());
-        let c = Arc::clone(&cache);
-        let panicker = std::thread::spawn(move || {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                c.get_or_build(5, || -> Result<String, ()> { panic!("boom") })
-            }));
-        });
-        panicker.join().unwrap();
-        // Without the build guard this would deadlock on the Building slot.
+        // A panicking build stores nothing, and the next caller of the key
+        // builds instead of finding a poisoned lock or a stale entry.
+        let cache = ResultCache::new();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_build(5, || -> Result<String, ()> { panic!("boom") })
+        }));
+        assert!(panicked.is_err());
+        assert!(cache.is_empty());
         let (e, hit) = cache
             .get_or_build(5, || Ok::<_, ()>("after panic".to_string()))
             .unwrap();
         assert!(!hit);
         assert_eq!(e.result_json, "after panic");
-    }
-
-    #[test]
-    fn single_flight_under_contention() {
-        let cache = Arc::new(ResultCache::new());
-        let builds = Arc::new(AtomicU32::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let cache = Arc::clone(&cache);
-            let builds = Arc::clone(&builds);
-            handles.push(std::thread::spawn(move || {
-                let (entry, _hit) = cache
-                    .get_or_build(42, || -> Result<String, ()> {
-                        builds.fetch_add(1, Ordering::SeqCst);
-                        // Widen the race window so waiters actually block.
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        Ok("slow result".to_string())
-                    })
-                    .unwrap();
-                entry.result_json.clone()
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), "slow result");
-        }
-        assert_eq!(builds.load(Ordering::SeqCst), 1, "single-flight: one build");
-        let s = cache.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 7, "waiters on the in-flight build count as hits");
     }
 
     #[test]
@@ -341,10 +257,11 @@ mod tests {
         cache
             .get_or_build(1, || -> Result<String, ()> { unreachable!() })
             .unwrap();
+        let _ = cache.get_or_build(2, || Err::<String, _>(()));
         let reg = Registry::new();
         cache.record_telemetry(&reg);
         assert_eq!(reg.counter_value("cache.hits"), Some(1));
-        assert_eq!(reg.counter_value("cache.misses"), Some(1));
+        assert_eq!(reg.counter_value("cache.misses"), Some(2));
         assert_eq!(reg.counter_value("cache.entries"), Some(1));
     }
 

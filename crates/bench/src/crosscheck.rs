@@ -26,7 +26,9 @@
 //!   nominal line rate; 5 % covers the fencepost slot at burst edges.
 
 use analytic::model::ModelIi;
-use fft::BlockedFft;
+use analytic::table3::Table3Params;
+use fft::{BlockedFft, Complex64};
+use pscan::{BusError, GatherSpec, Pscan, PscanConfig};
 use serde::Serialize;
 
 use crate::fidelity::{ValidatedRegion, ValidationEnvelope};
@@ -206,6 +208,67 @@ pub fn failures(rows: &[CheckRow]) -> Vec<String> {
         .collect()
 }
 
+/// Deterministic Model II test signal: one `n`-sample row per processor.
+/// The conformance oracle and the matrix's cycle-accurate Model II rows
+/// both feed it to [`psync::run_model2_rows`].
+pub fn signal_rows(procs: usize, n: usize) -> Vec<Vec<Complex64>> {
+    (0..procs)
+        .map(|p| {
+            (0..n)
+                .map(|i| {
+                    Complex64::new(
+                        ((p * 31 + i) as f64 * 0.1).sin(),
+                        ((i * 17 + p) as f64 * 0.05).cos(),
+                    )
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The Table III writeback measured on the SCA: `procs` nodes gather one
+/// `row_len`-sample row each, interleaved one word per slot.
+pub struct Table3Writeback {
+    /// Slots from the first to the last arrival at the terminus, inclusive.
+    pub span_slots: u64,
+    /// Bus utilization over the gather.
+    pub utilization: f64,
+    /// One header slot per DRAM row written.
+    pub headers: u64,
+}
+
+impl Table3Writeback {
+    /// The measured writeback cycles: the SCA span plus the DRAM-row
+    /// headers — the composition the oracle holds equal to Eqs. 23/24.
+    pub fn cycles(&self) -> u64 {
+        self.span_slots + self.headers
+    }
+}
+
+/// Run the Table III writeback gather and measure it — see
+/// [`Table3Writeback`].
+///
+/// # Errors
+/// The bus error if the gather does not run.
+pub fn table3_writeback(procs: usize, row_len: usize) -> Result<Table3Writeback, BusError> {
+    let pscan = Pscan::new(PscanConfig::paper_default().with_nodes(procs));
+    let spec = GatherSpec {
+        slot_source: (0..procs * row_len).map(|k| k % procs).collect(),
+    };
+    let data: Vec<Vec<u64>> = (0..procs).map(|p| vec![p as u64; row_len]).collect();
+    let out = pscan.gather(&spec, &data)?;
+    let t3 = Table3Params {
+        n: row_len as u64,
+        p: procs as u64,
+        ..Default::default()
+    };
+    Ok(Table3Writeback {
+        span_slots: out.last_arrival.since(out.first_arrival).as_ps() / pscan.slot().as_ps() + 1,
+        utilization: out.utilization,
+        headers: ((procs * row_len) as u64).div_ceil(t3.s_r / t3.s_b),
+    })
+}
+
 /// The Eq. 11/14 prediction for a [`psync::run_model2_rows`] execution.
 ///
 /// `run_model2_rows` reports the overlapped (Model II) and serialized
@@ -296,18 +359,7 @@ mod tests {
         // the prediction recovered from the serialized measurement must land
         // within f64 round-off.
         let (procs, n, k) = (4usize, 64usize, 4usize);
-        let rows: Vec<Vec<fft::Complex64>> = (0..procs)
-            .map(|p| {
-                (0..n)
-                    .map(|i| {
-                        fft::Complex64::new(
-                            ((p * 31 + i) as f64 * 0.1).sin(),
-                            ((i * 17 + p) as f64 * 0.05).cos(),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let rows = signal_rows(procs, n);
         let run = psync::run_model2_rows(procs, n, k, &rows);
         let pred = predict_model2(procs, n, k, run.serialized_seconds);
         let rel =

@@ -1,37 +1,24 @@
-//! Typed experiment job specifications shared by the standalone harness
-//! binaries and the supervised batch driver (`run_batch`).
+//! Experiment cores shared by the harness binaries, plus the supervised
+//! Table III job body the batch driver (`run_batch`) runs.
 //!
-//! [`JobSpec`] is an enum covering every experiment family the supervision
-//! layer can run —
+//! Each core runs one experiment to deterministic rows for its bin:
 //!
-//! * **`table3`** — the Table III transpose (PSCAN closed form plus the
-//!   `t_p = 1`/`t_p = 4` mesh simulations), the reference workload whose
-//!   supervised result file is byte-identical to the direct
-//!   `table3_transpose` bin;
-//! * **`perf_mesh`** — one mesh transpose at a chosen routing policy and
-//!   memory port service time `t_p`, reduced to its deterministic witness
-//!   (cycles and flit moves; the `perf_mesh` bin adds wall-clock around
-//!   the same core);
-//! * **`ablate_faults`** — the fault-rate degradation sweep over both
-//!   fabrics (shared point functions with the `ablate_faults` bin);
-//! * **`crosscheck_models`** — the Eq. 11/14 conformance checks of the
-//!   cycle-accurate Model II machine against the §V closed forms;
-//! * **`full_matrix`** — the complete 21-row ablation matrix under the
-//!   multi-fidelity engine ([`crate::fidelity`]): each row answered from
-//!   the validated closed form where an envelope covers it, simulated
-//!   where not, with a [`crate::fidelity::FidelityDecision`] on every row;
-//! * **`collectives`** — all-to-all / all-gather / all-reduce traffic on
-//!   both fabrics over a chosen mesh/torus geometry (shared cores with the
-//!   `collectives` bin).
+//! * [`run_table3`] — the Table III transpose (PSCAN closed form plus the
+//!   `t_p = 1`/`t_p = 4` mesh simulations), for `table3_transpose` and,
+//!   supervised, `run_batch`;
+//! * [`perf_mesh_point`] — one timed mesh transpose, for `perf_mesh`;
+//! * [`collective_mesh_row`] / [`collective_sca_row`] — one collective on
+//!   either fabric, for `collectives`;
+//! * [`run_ablate_faults`] — the fault-rate degradation sweep over both
+//!   fabrics, for `ablate_faults`;
+//! * [`run_full_matrix`] — the 21-row ablation matrix under the
+//!   multi-fidelity engine ([`crate::fidelity`]), with a
+//!   [`crate::fidelity::FidelityDecision`] on every row, for `full_matrix`.
 //!
-//! Every family's result is a deterministic JSON document, which is what
-//! makes the exact result cache ([`crate::cache`]) sound: the cache key is
-//! [`JobSpec::canonical_json`] (plus the deadline bits), and a hit returns
+//! [`table3_work`] packages a Table III run as a [`crate::supervisor`] job
+//! body behind the exact result cache ([`crate::cache`]): the key is
+//! [`table3_cache_key`] (the spec plus the deadline bits), and a hit returns
 //! the exact bytes a fresh run would have produced.
-//!
-//! [`supervised_work`] packages a spec as a [`crate::supervisor`] job body
-//! with cache lookup and cancellation — the code path `run_batch` routes
-//! its jobs through.
 
 use std::sync::Arc;
 
@@ -47,10 +34,8 @@ use emesh::mesh::{MeshConfig, MeshError, RoutingPolicy};
 use emesh::topology::{MemifPlacement, Topology};
 use emesh::workloads::{load_scatter, load_transpose};
 use emesh::{MeshFaultConfig, MeshFaultStats};
-use fft::Complex64;
 use pscan::compiler::GatherSpec;
 use pscan::faults::PscanFaultConfig;
-use pscan::network::{Pscan, PscanConfig};
 use psync::collectives::run_sca_collective;
 use psync::machine::{Machine, MachineConfig, MachineError};
 use rayon::prelude::*;
@@ -60,18 +45,19 @@ use sim_core::collective::Collective;
 use sim_core::telemetry::Registry;
 
 use crate::cache::{fnv1a64, ResultCache};
+use crate::crosscheck::{signal_rows, table3_writeback};
 use crate::fidelity::{
     decide, record_decision, FidelityDecision, FidelityPolicy, PointConfig, ValidationRegistry,
 };
 use crate::supervisor::{JobSuccess, Work, WorkError};
 
 // ---------------------------------------------------------------------------
-// Per-family specifications
+// Experiment specifications
 // ---------------------------------------------------------------------------
 
 /// The Table III workload configuration: everything that determines the
 /// resulting cycle counts.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Spec {
     /// Mesh/PSCAN processor count `P` (a perfect square for the mesh).
     pub procs: usize,
@@ -97,53 +83,8 @@ impl Table3Spec {
     }
 }
 
-/// One mesh-transpose performance point, reduced to deterministic fields.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct PerfMeshSpec {
-    /// Mesh processor count (a perfect square).
-    pub procs: usize,
-    /// Samples per processor row.
-    pub row_len: usize,
-    /// Routing policy: `"MinimalAdaptive"` or `"Xy"`.
-    pub policy: String,
-    /// Memory port service time `t_p`.
-    pub t_p: u64,
-}
-
-impl PerfMeshSpec {
-    /// The `--quick` configuration.
-    pub fn quick() -> Self {
-        PerfMeshSpec {
-            procs: 256,
-            row_len: 256,
-            policy: "MinimalAdaptive".to_string(),
-            t_p: 1,
-        }
-    }
-
-    /// The full paper-scale configuration (the 2²⁰-element transpose).
-    pub fn paper() -> Self {
-        PerfMeshSpec {
-            procs: 1024,
-            row_len: 1024,
-            ..PerfMeshSpec::quick()
-        }
-    }
-
-    /// Parse the policy string.
-    pub fn routing_policy(&self) -> Result<RoutingPolicy, String> {
-        match self.policy.as_str() {
-            "MinimalAdaptive" | "minimal_adaptive" => Ok(RoutingPolicy::MinimalAdaptive),
-            "Xy" | "xy" => Ok(RoutingPolicy::Xy),
-            other => Err(format!(
-                "unknown routing policy {other:?} (expected MinimalAdaptive or Xy)"
-            )),
-        }
-    }
-}
-
 /// The fault-injection degradation sweep over both fabrics.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AblateFaultsSpec {
     /// Word/flit error probabilities to sweep, each in `[0, 1)`.
     pub rates: Vec<f64>,
@@ -177,85 +118,20 @@ impl AblateFaultsSpec {
     }
 }
 
-/// The Eq. 11/14 conformance check: the overlapped Model II machine vs the
-/// §V closed forms, at a grid of block counts.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct CrosscheckSpec {
-    /// Processor count.
-    pub procs: usize,
-    /// Samples per row.
-    pub n: usize,
-    /// Blocks-per-row values to check.
-    pub ks: Vec<usize>,
-}
-
-impl CrosscheckSpec {
-    /// The `--quick` grid the `crosscheck_models` bin uses for check 1.
-    pub fn quick() -> Self {
-        CrosscheckSpec {
-            procs: 8,
-            n: 64,
-            ks: vec![1, 4, 8],
-        }
-    }
-
-    /// The full grid the `crosscheck_models` bin uses for check 1.
-    pub fn paper() -> Self {
-        CrosscheckSpec {
-            procs: 16,
-            n: 1024,
-            ks: vec![1, 8, 64],
-        }
-    }
-}
-
 /// The 21-row ablation matrix under the multi-fidelity engine.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FullMatrixSpec {
-    /// Point sizing: `"quick"` (per-PR) or `"paper"` (full scale).
-    pub scale: String,
-    /// Fidelity policy, in [`FidelityPolicy::parse`] spelling
-    /// (`analytic` / `cycle_accurate` / `auto` / `auto:<rel_err>`). Part
-    /// of the canonical JSON, so runs at different fidelities can never
-    /// share a cache entry.
-    pub fidelity: String,
+    /// Point sizing: the `--quick` points (`true`) or full paper scale.
+    pub quick: bool,
+    /// How each row chooses between the closed form and the simulator.
+    pub fidelity: FidelityPolicy,
     /// Also run the all-cycle-accurate reference pass and attach
     /// per-row disagreement columns.
     pub reference: bool,
 }
 
-impl FullMatrixSpec {
-    /// The `--quick` configuration: small points, Auto fidelity, with the
-    /// cycle-accurate reference pass (cheap at this scale, and it is what
-    /// lets CI assert every analytic row sits inside its envelope).
-    pub fn quick() -> Self {
-        FullMatrixSpec {
-            scale: "quick".to_string(),
-            fidelity: "auto".to_string(),
-            reference: true,
-        }
-    }
-
-    /// The full-scale configuration: paper-size points, Auto fidelity, no
-    /// reference pass — the whole point is that full scale no longer costs
-    /// a full simulation sweep.
-    pub fn paper() -> Self {
-        FullMatrixSpec {
-            scale: "paper".to_string(),
-            fidelity: "auto".to_string(),
-            reference: false,
-        }
-    }
-
-    /// Parse the fidelity field.
-    pub fn policy(&self) -> Result<FidelityPolicy, String> {
-        FidelityPolicy::parse(&self.fidelity)
-    }
-}
-
-/// The collective-traffic comparison: all three collectives on both
-/// fabrics over one mesh/torus geometry.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// One mesh/torus geometry for the collective-traffic comparison.
+#[derive(Debug, Clone)]
 pub struct CollectivesSpec {
     /// Mesh width (columns).
     pub width: usize,
@@ -268,144 +144,10 @@ pub struct CollectivesSpec {
 }
 
 impl CollectivesSpec {
-    /// The `--quick` configuration (4×4 mesh, 4-word blocks).
-    pub fn quick() -> Self {
-        CollectivesSpec {
-            width: 4,
-            height: 4,
-            torus: false,
-            words: 4,
-        }
-    }
-
-    /// The full configuration (16×16 mesh, 64-word blocks).
-    pub fn paper() -> Self {
-        CollectivesSpec {
-            width: 16,
-            height: 16,
-            words: 64,
-            ..CollectivesSpec::quick()
-        }
-    }
-
     /// The mesh topology this spec describes (memory interface in the
     /// single corner, as in the Table III runs).
     pub fn topology(&self) -> Topology {
         Topology::rect(self.width, self.height, MemifPlacement::SingleCorner).with_torus(self.torus)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The unified JobSpec enum
-// ---------------------------------------------------------------------------
-
-/// A typed experiment request: one variant per experiment family.
-///
-/// Anything that runs under the [`crate::supervisor`] is expressed as a
-/// `JobSpec`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobSpec {
-    /// The Table III transpose (reference workload).
-    Table3(Table3Spec),
-    /// One deterministic mesh performance point.
-    PerfMesh(PerfMeshSpec),
-    /// The fault-rate degradation sweep.
-    AblateFaults(AblateFaultsSpec),
-    /// The Model II conformance checks.
-    CrosscheckModels(CrosscheckSpec),
-    /// The 21-row multi-fidelity ablation matrix.
-    FullMatrix(FullMatrixSpec),
-    /// The collective-traffic comparison on both fabrics.
-    Collectives(CollectivesSpec),
-}
-
-impl JobSpec {
-    /// The name of this spec's experiment family.
-    pub fn family(&self) -> &'static str {
-        match self {
-            JobSpec::Table3(_) => "table3",
-            JobSpec::PerfMesh(_) => "perf_mesh",
-            JobSpec::AblateFaults(_) => "ablate_faults",
-            JobSpec::CrosscheckModels(_) => "crosscheck_models",
-            JobSpec::FullMatrix(_) => "full_matrix",
-            JobSpec::Collectives(_) => "collectives",
-        }
-    }
-
-    /// Canonical JSON for config hashing: a family-tagged envelope with a
-    /// stable field order, so equal specs always serialize to equal bytes.
-    pub fn canonical_json(&self) -> String {
-        let spec = match self {
-            JobSpec::Table3(s) => serde_json::to_string(s),
-            JobSpec::PerfMesh(s) => serde_json::to_string(s),
-            JobSpec::AblateFaults(s) => serde_json::to_string(s),
-            JobSpec::CrosscheckModels(s) => serde_json::to_string(s),
-            JobSpec::FullMatrix(s) => serde_json::to_string(s),
-            JobSpec::Collectives(s) => serde_json::to_string(s),
-        }
-        .expect("job specs serialize");
-        format!("{{\"family\":\"{}\",\"spec\":{spec}}}", self.family())
-    }
-
-    /// Run the experiment this spec describes to its deterministic result
-    /// JSON (the bytes the cache stores), plus any telemetry registries
-    /// when `tracing`.
-    ///
-    /// # Errors
-    /// A classified [`WorkError`]: `Cancelled` when the interrupt fired,
-    /// `Fatal` for everything else (the mesh no-progress watchdog
-    /// included: a rerun would wedge at the same cycle).
-    pub fn run(
-        &self,
-        tracing: bool,
-        interrupt: Option<&Interrupt>,
-    ) -> Result<(String, Vec<Registry>), WorkError> {
-        match self {
-            JobSpec::Table3(s) => {
-                let (row, regs) = run_table3(s, tracing, interrupt).map_err(classify_mesh)?;
-                let json = serde_json::to_string_pretty(&row).map_err(serialize_err)?;
-                Ok((json, regs))
-            }
-            JobSpec::PerfMesh(s) => {
-                let policy = s
-                    .routing_policy()
-                    .map_err(|detail| WorkError::Fatal { detail })?;
-                let point = perf_mesh_point(s.procs, s.row_len, policy, s.t_p, interrupt)
-                    .map_err(classify_mesh)?;
-                let row = PerfMeshRow {
-                    procs: s.procs,
-                    row_len: s.row_len,
-                    elements: s.procs * s.row_len,
-                    policy: s.policy.clone(),
-                    t_p: s.t_p,
-                    cycles: point.cycles,
-                    flit_moves: point.flit_moves,
-                };
-                let json = serde_json::to_string_pretty(&row).map_err(serialize_err)?;
-                Ok((json, Vec::new()))
-            }
-            JobSpec::AblateFaults(s) => {
-                let points = run_ablate_faults(s, interrupt)?;
-                let json = serde_json::to_string_pretty(&points).map_err(serialize_err)?;
-                Ok((json, Vec::new()))
-            }
-            JobSpec::CrosscheckModels(s) => {
-                let rows = run_crosscheck_model2(s, interrupt)?;
-                let json = serde_json::to_string_pretty(&rows).map_err(serialize_err)?;
-                Ok((json, Vec::new()))
-            }
-            JobSpec::FullMatrix(s) => {
-                let reg = tracing.then(Registry::new);
-                let (result, _timing) = run_full_matrix(s, interrupt, reg.as_ref())?;
-                let json = serde_json::to_string_pretty(&result).map_err(serialize_err)?;
-                Ok((json, reg.into_iter().collect()))
-            }
-            JobSpec::Collectives(s) => {
-                let (rows, regs) = run_collectives(s, tracing, interrupt)?;
-                let json = serde_json::to_string_pretty(&rows).map_err(serialize_err)?;
-                Ok((json, regs))
-            }
-        }
     }
 }
 
@@ -432,14 +174,8 @@ fn classify_machine(e: MachineError) -> WorkError {
     }
 }
 
-fn serialize_err(e: serde_json::Error) -> WorkError {
-    WorkError::Fatal {
-        detail: format!("serialize result rows: {e}"),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// table3 family
+// table3
 // ---------------------------------------------------------------------------
 
 /// One Table III result row, serialized to `results/table3.json` (direct
@@ -551,27 +287,8 @@ pub fn run_table3(
 }
 
 // ---------------------------------------------------------------------------
-// perf_mesh family
+// perf_mesh
 // ---------------------------------------------------------------------------
-
-/// Deterministic witness of one mesh performance point.
-#[derive(Debug, Clone, Serialize)]
-pub struct PerfMeshRow {
-    /// Processor count.
-    pub procs: usize,
-    /// Samples per row.
-    pub row_len: usize,
-    /// Total elements moved.
-    pub elements: usize,
-    /// Routing policy name.
-    pub policy: String,
-    /// Memory port service time.
-    pub t_p: u64,
-    /// Simulated completion cycles.
-    pub cycles: u64,
-    /// Router traversals (the scheduler-work witness).
-    pub flit_moves: u64,
-}
 
 /// Measured core of one `perf_mesh` point: deterministic witness plus the
 /// wall-clock of the `run()` call (construction excluded, matching the
@@ -587,7 +304,7 @@ pub struct MeshPerfPoint {
 }
 
 /// Run one mesh transpose and report its deterministic witness and wall
-/// time. Shared by the `perf_mesh` bin and the `perf_mesh` job family.
+/// time.
 pub fn perf_mesh_point(
     procs: usize,
     row_len: usize,
@@ -611,28 +328,19 @@ pub fn perf_mesh_point(
 }
 
 // ---------------------------------------------------------------------------
-// collectives family
+// collectives
 // ---------------------------------------------------------------------------
 
-/// One collective-traffic result row (field order is the
-/// `results/collectives.json` byte contract). `cycles` is the fabric's
-/// native sequential unit: mesh cycles on the electronic side, bus slots
-/// on the photonic side.
-#[derive(Debug, Clone, Serialize)]
+/// One collective run on one fabric, as the `collectives` bin reports it.
+/// `cycles` is the fabric's native sequential unit: mesh cycles on the
+/// electronic side, bus slots on the photonic side.
+#[derive(Debug, Clone)]
 pub struct CollectiveRow {
-    /// Collective label (`alltoall` / `allgather` / `allreduce`).
-    pub collective: String,
-    /// `"mesh"` or `"sca"`.
-    pub fabric: String,
     /// Geometry label: the mesh topology (`"4x4"`, `"4x4t"`, …) or the
     /// SCA processor count (`"p16"`).
     pub geometry: String,
     /// Participating nodes.
     pub participants: u64,
-    /// Payload words per node per block.
-    pub words: usize,
-    /// Executed phases.
-    pub phases: usize,
     /// Mesh completion cycles, or SCA bus slots.
     pub cycles: u64,
     /// Golden-determinism fingerprint of the full run observables.
@@ -643,7 +351,6 @@ pub struct CollectiveRow {
 pub fn collective_mesh_row(
     spec: &CollectivesSpec,
     collective: Collective,
-    telemetry: Option<&Registry>,
 ) -> Result<CollectiveRow, MeshError> {
     let cfg = MeshConfig {
         topology: spec.topology(),
@@ -653,14 +360,10 @@ pub fn collective_mesh_row(
         buffer_depth: 2,
         max_cycles: 1 << 30,
     };
-    let res = run_mesh_collective(collective, cfg, spec.words, telemetry)?;
+    let res = run_mesh_collective(collective, cfg, spec.words, None)?;
     Ok(CollectiveRow {
-        collective: collective.label().to_string(),
-        fabric: "mesh".to_string(),
         geometry: spec.topology().label(),
         participants: res.participants,
-        words: spec.words,
-        phases: res.phases.len(),
         cycles: res.cycles,
         fingerprint: res.fingerprint(),
     })
@@ -671,57 +374,21 @@ pub fn collective_mesh_row(
 pub fn collective_sca_row(
     spec: &CollectivesSpec,
     collective: Collective,
-    tracing: bool,
-) -> Result<(CollectiveRow, Option<Registry>), MachineError> {
+) -> Result<CollectiveRow, MachineError> {
     let procs = spec.width * spec.height;
     let dram_words = procs * procs * spec.words;
     let mut machine = Machine::new(MachineConfig::paper_default(procs, dram_words));
-    if tracing {
-        machine.enable_telemetry();
-    }
     let res = run_sca_collective(&mut machine, collective, spec.words)?;
-    let row = CollectiveRow {
-        collective: collective.label().to_string(),
-        fabric: "sca".to_string(),
+    Ok(CollectiveRow {
         geometry: format!("p{procs}"),
         participants: res.participants as u64,
-        words: spec.words,
-        phases: res.phase_names.len(),
         cycles: res.bus_slots,
         fingerprint: res.fingerprint(),
-    };
-    Ok((row, machine.take_telemetry()))
-}
-
-/// Run all three collectives on both fabrics: six deterministic rows in
-/// [`Collective::ALL`] × (mesh, sca) order. The interrupt is polled
-/// between rows, so cancellation is collective-granular.
-pub fn run_collectives(
-    spec: &CollectivesSpec,
-    tracing: bool,
-    interrupt: Option<&Interrupt>,
-) -> Result<(Vec<CollectiveRow>, Vec<Registry>), WorkError> {
-    let mut rows = Vec::with_capacity(Collective::ALL.len() * 2);
-    let mut regs = Vec::new();
-    let mesh_reg = tracing.then(Registry::new);
-    let mut intr = interrupt.cloned();
-    for collective in Collective::ALL {
-        if let Some(cause) = intr.as_mut().and_then(|i| i.check(rows.len() as u64)) {
-            return Err(WorkError::Cancelled {
-                detail: format!("collectives cancelled after {} rows: {cause:?}", rows.len()),
-            });
-        }
-        rows.push(collective_mesh_row(spec, collective, mesh_reg.as_ref()).map_err(classify_mesh)?);
-        let (row, reg) = collective_sca_row(spec, collective, tracing).map_err(classify_machine)?;
-        rows.push(row);
-        regs.extend(reg);
-    }
-    regs.extend(mesh_reg);
-    Ok((rows, regs))
+    })
 }
 
 // ---------------------------------------------------------------------------
-// ablate_faults family
+// ablate_faults
 // ---------------------------------------------------------------------------
 
 /// Word/flit error probabilities the `ablate_faults` bin sweeps. Spacing is
@@ -856,99 +523,7 @@ pub fn run_ablate_faults(
 }
 
 // ---------------------------------------------------------------------------
-// crosscheck_models family
-// ---------------------------------------------------------------------------
-
-/// One Eq. 11/14 conformance row (deterministic: no wall-clock fields, so
-/// repeated runs produce identical bytes the cache can vouch for).
-#[derive(Debug, Clone, Serialize)]
-pub struct CrosscheckRow {
-    /// Which identity was checked (`eq11_total_time` / `eq14_efficiency`).
-    pub check: String,
-    /// Operating point, `P=..,N=..,k=..`.
-    pub point: String,
-    /// Machine-side measurement.
-    pub measured: f64,
-    /// Closed-form prediction.
-    pub predicted: f64,
-    /// `|measured − predicted| / |predicted|`.
-    pub rel_err: f64,
-    /// Tolerance the row is held to.
-    pub tol: f64,
-    /// `rel_err <= tol`.
-    pub pass: bool,
-    /// Fixed-point witness of the measured value.
-    pub witness: u64,
-}
-
-/// Deterministic test signal: one `n`-sample row per processor (same
-/// generator as the `crosscheck_models` bin).
-pub fn crosscheck_signal_rows(procs: usize, n: usize) -> Vec<Vec<Complex64>> {
-    (0..procs)
-        .map(|p| {
-            (0..n)
-                .map(|i| {
-                    Complex64::new(
-                        ((p * 31 + i) as f64 * 0.1).sin(),
-                        ((i * 17 + p) as f64 * 0.05).cos(),
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// The Eq. 11/14 conformance checks at every `k` in the spec, polled for
-/// cancellation between points (the machine runs are short; per-point
-/// granularity keeps cancellation prompt without threading an interrupt
-/// through `run_model2_rows`).
-pub fn run_crosscheck_model2(
-    spec: &CrosscheckSpec,
-    interrupt: Option<&Interrupt>,
-) -> Result<Vec<CrosscheckRow>, WorkError> {
-    use crate::crosscheck::{predict_model2, witness, TOL_ALGEBRAIC};
-    let rows = crosscheck_signal_rows(spec.procs, spec.n);
-    let mut intr = interrupt.cloned();
-    let mut out = Vec::new();
-    for (done, &k) in spec.ks.iter().enumerate() {
-        if let Some(cause) = intr.as_mut().and_then(|i| i.check(done as u64)) {
-            return Err(WorkError::Cancelled {
-                detail: format!("crosscheck Cancelled after {done} point(s) ({cause})"),
-            });
-        }
-        let point = format!("P={},N={},k={k}", spec.procs, spec.n);
-        eprintln!("crosscheck: eq11 machine at {point} ...");
-        let run = psync::run_model2_rows(spec.procs, spec.n, k, &rows);
-        let pred = predict_model2(spec.procs, spec.n, k, run.serialized_seconds);
-        let mut push = |check: &str, measured: f64, predicted: f64| {
-            let rel_err = if predicted == 0.0 {
-                measured.abs()
-            } else {
-                (measured - predicted).abs() / predicted.abs()
-            };
-            out.push(CrosscheckRow {
-                check: check.to_string(),
-                point: point.clone(),
-                measured,
-                predicted,
-                rel_err,
-                tol: TOL_ALGEBRAIC,
-                pass: rel_err <= TOL_ALGEBRAIC,
-                witness: witness(measured),
-            });
-        };
-        push(
-            "eq11_total_time",
-            run.overlapped_seconds,
-            pred.overlapped_seconds,
-        );
-        push("eq14_efficiency", run.efficiency, pred.efficiency);
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// full_matrix family
+// full_matrix
 // ---------------------------------------------------------------------------
 
 /// Static definition of one matrix row: which model family, at which
@@ -1156,7 +731,7 @@ fn cycle_accurate_value(
     match pt.family {
         "model2_eq11" | "model2_eq14" => {
             let (procs, n, k) = (pt.p as usize, pt.n as usize, pt.k as usize);
-            let rows = crosscheck_signal_rows(procs, n);
+            let rows = signal_rows(procs, n);
             let run = psync::run_model2_rows(procs, n, k, &rows);
             if pt.family == "model2_eq11" {
                 Ok((run.overlapped_seconds, "seconds"))
@@ -1199,27 +774,11 @@ fn cycle_accurate_value(
             Ok((res.cycles as f64, "cycles"))
         }
         "table3_pscan" => {
-            let (procs, row_len) = (pt.p as usize, pt.n as usize);
-            let pscan = Pscan::new(PscanConfig::paper_default().with_nodes(procs));
-            let spec = GatherSpec {
-                slot_source: (0..procs * row_len).map(|k| k % procs).collect(),
-            };
-            let data: Vec<Vec<u64>> = (0..procs).map(|p| vec![p as u64; row_len]).collect();
-            let out = pscan.gather(&spec, &data).map_err(|e| WorkError::Fatal {
-                detail: format!("pscan gather: {e}"),
-            })?;
-            // The measured writeback: the SCA's slot span plus one header
-            // slot per DRAM row — the same composition the conformance
-            // oracle holds equal to Eqs. 23/24.
-            let span_slots =
-                out.last_arrival.since(out.first_arrival).as_ps() / pscan.slot().as_ps() + 1;
-            let t3 = Table3Params {
-                n: pt.n,
-                p: pt.p,
-                ..Default::default()
-            };
-            let headers = ((procs * row_len) as u64).div_ceil(t3.s_r / t3.s_b);
-            Ok(((span_slots + headers) as f64, "cycles"))
+            let wb =
+                table3_writeback(pt.p as usize, pt.n as usize).map_err(|e| WorkError::Fatal {
+                    detail: format!("pscan gather: {e}"),
+                })?;
+            Ok((wb.cycles() as f64, "cycles"))
         }
         other => Err(WorkError::Fatal {
             detail: format!("no fabric for family {other:?}"),
@@ -1242,12 +801,8 @@ pub fn run_full_matrix(
     interrupt: Option<&Interrupt>,
     telemetry: Option<&Registry>,
 ) -> Result<(FullMatrixResult, FullMatrixTiming), WorkError> {
-    let policy = spec
-        .policy()
-        .map_err(|detail| WorkError::Fatal { detail })?;
     let registry = ValidationRegistry::builtin();
-    let quick = spec.scale == "quick";
-    let points = matrix_points(quick);
+    let points = matrix_points(spec.quick);
 
     let mut intr = interrupt.cloned();
     let mut rows = Vec::with_capacity(points.len());
@@ -1258,7 +813,7 @@ pub fn run_full_matrix(
                 detail: format!("full_matrix Cancelled after {done} row(s) ({cause})"),
             });
         }
-        let decision = decide(policy, &pt.point_config(), &registry);
+        let decision = decide(spec.fidelity, &pt.point_config(), &registry);
         if let Some(reg) = telemetry {
             record_decision(reg, &decision);
         }
@@ -1326,8 +881,8 @@ pub fn run_full_matrix(
 
     let analytic_rows = rows.iter().filter(|r| r.fidelity == "analytic").count();
     let result = FullMatrixResult {
-        scale: spec.scale.clone(),
-        fidelity: spec.fidelity.clone(),
+        scale: if spec.quick { "quick" } else { "paper" }.to_string(),
+        fidelity: spec.fidelity.wire(),
         reference: spec.reference,
         analytic_rows,
         cycle_accurate_rows: rows.len() - analytic_rows,
@@ -1337,37 +892,38 @@ pub fn run_full_matrix(
 }
 
 // ---------------------------------------------------------------------------
-// Supervised execution: the shared work-closure builder
+// Supervised execution: the Table III job body
 // ---------------------------------------------------------------------------
 
-/// The cache key for `spec` under `timeout_s`: FNV-1a over the canonical
-/// spec JSON plus the deadline bits. The deadline is part of the key so a
-/// run cancelled at 0 s can never poison (or be served from) the untimed
-/// entry.
-pub fn cache_key(spec: &JobSpec, timeout_s: Option<f64>) -> u64 {
+/// The cache key of a Table III job: FNV-1a over the spec plus the
+/// deadline bits. The deadline is part of the key so a run cancelled at 0 s
+/// can never poison (or be served from) the untimed entry.
+pub fn table3_cache_key(spec: &Table3Spec, timeout_s: Option<f64>) -> u64 {
     fnv1a64(
         format!(
-            "{}|timeout={:?}",
-            spec.canonical_json(),
+            "table3|procs={}|row_len={}|timeout={:?}",
+            spec.procs,
+            spec.row_len,
             timeout_s.map(f64::to_bits)
         )
         .as_bytes(),
     )
 }
 
-/// Package `spec` as a supervised job body: single-flight cache lookup
-/// keyed on [`cache_key`], simulation on miss, structured error
-/// classification — the code path `run_batch` routes its jobs through.
-pub fn supervised_work(
-    spec: JobSpec,
-    timeout_s: Option<f64>,
-    cache: Arc<ResultCache>,
-) -> Box<Work> {
+/// Package a Table III run as a supervised job body: cache lookup keyed on
+/// [`table3_cache_key`], [`run_table3`] on a miss, cancellation reported as
+/// [`WorkError::Cancelled`]. The job's bytes are the pretty-printed
+/// [`Table3Row`], the same bytes the `table3_transpose` bin writes.
+pub fn table3_work(spec: Table3Spec, timeout_s: Option<f64>, cache: Arc<ResultCache>) -> Box<Work> {
     Box::new(move |interrupt| {
         let intr = interrupt.is_armed().then_some(&interrupt);
-        let key = cache_key(&spec, timeout_s);
-        let (entry, cached) =
-            cache.get_or_build(key, || spec.run(false, intr).map(|(json, _)| json))?;
+        let key = table3_cache_key(&spec, timeout_s);
+        let (entry, cached) = cache.get_or_build(key, || {
+            let (row, _) = run_table3(&spec, false, intr).map_err(classify_mesh)?;
+            serde_json::to_string_pretty(&row).map_err(|e| WorkError::Fatal {
+                detail: format!("serialize result rows: {e}"),
+            })
+        })?;
         Ok(JobSuccess {
             json: entry.result_json.clone(),
             cached,
@@ -1424,101 +980,60 @@ mod tests {
     }
 
     #[test]
-    fn canonical_json_is_stable() {
-        assert_eq!(
-            JobSpec::Table3(Table3Spec::quick()).canonical_json(),
-            r#"{"family":"table3","spec":{"procs":256,"row_len":256}}"#
-        );
-        assert_eq!(
-            JobSpec::Collectives(CollectivesSpec::quick()).canonical_json(),
-            r#"{"family":"collectives","spec":{"width":4,"height":4,"torus":false,"words":4}}"#
-        );
-    }
-
-    #[test]
     fn collectives_family_runs_both_fabrics_deterministically() {
-        let spec = CollectivesSpec::quick();
-        let (rows, regs) = run_collectives(&spec, false, None).expect("quick collectives run");
-        assert_eq!(rows.len(), 6, "3 collectives x 2 fabrics");
-        assert!(regs.is_empty(), "no tracing requested");
-        for pair in rows.chunks(2) {
-            assert_eq!(pair[0].fabric, "mesh");
-            assert_eq!(pair[1].fabric, "sca");
-            assert_eq!(pair[0].collective, pair[1].collective);
-            assert!(pair[0].cycles > 0 && pair[1].cycles > 0);
-        }
-        let (again, _) = run_collectives(&spec, false, None).unwrap();
-        for (a, b) in rows.iter().zip(&again) {
-            assert_eq!(
-                a.fingerprint, b.fingerprint,
-                "{} {}",
-                a.collective, a.fabric
-            );
-        }
-        // The torus variant is a different deterministic result, not a crash.
+        let spec = CollectivesSpec {
+            width: 4,
+            height: 4,
+            torus: false,
+            words: 4,
+        };
         let torus = CollectivesSpec {
             torus: true,
-            ..spec
+            ..spec.clone()
         };
-        let (trows, _) = run_collectives(&torus, false, None).unwrap();
-        assert_eq!(trows[0].geometry, "4x4t");
-        assert_ne!(trows[0].fingerprint, rows[0].fingerprint);
-    }
-
-    #[test]
-    fn canonical_json_distinguishes_specs_and_is_reparseable() {
-        let a = JobSpec::Table3(tiny());
-        let b = JobSpec::Table3(Table3Spec {
-            procs: 64,
-            ..tiny()
-        });
-        assert_ne!(a.canonical_json(), b.canonical_json());
-        assert_ne!(cache_key(&a, None), cache_key(&b, None));
-        assert_ne!(cache_key(&a, None), cache_key(&a, Some(1.0)));
-        // The canonical envelope itself parses as JSON.
-        let v = serde_json::from_str(&a.canonical_json()).unwrap();
-        assert_eq!(
-            v.get("family").and_then(serde::Value::as_str),
-            Some("table3")
-        );
-        assert!(v.get("spec").is_some());
-    }
-
-    #[test]
-    fn presets_cover_every_family() {
-        let quick = [
-            JobSpec::Table3(Table3Spec::quick()),
-            JobSpec::PerfMesh(PerfMeshSpec::quick()),
-            JobSpec::AblateFaults(AblateFaultsSpec::quick()),
-            JobSpec::CrosscheckModels(CrosscheckSpec::quick()),
-            JobSpec::FullMatrix(FullMatrixSpec::quick()),
-            JobSpec::Collectives(CollectivesSpec::quick()),
-        ];
-        let paper = [
-            JobSpec::Table3(Table3Spec::paper()),
-            JobSpec::PerfMesh(PerfMeshSpec::paper()),
-            JobSpec::AblateFaults(AblateFaultsSpec::paper()),
-            JobSpec::CrosscheckModels(CrosscheckSpec::paper()),
-            JobSpec::FullMatrix(FullMatrixSpec::paper()),
-            JobSpec::Collectives(CollectivesSpec::paper()),
-        ];
-        let families: Vec<&str> = quick.iter().map(JobSpec::family).collect();
-        assert_eq!(
-            families,
-            [
-                "table3",
-                "perf_mesh",
-                "ablate_faults",
-                "crosscheck_models",
-                "full_matrix",
-                "collectives"
-            ]
-        );
-        for (q, p) in quick.iter().zip(&paper) {
-            assert_eq!(q.family(), p.family());
-            assert!(q.canonical_json().contains(q.family()));
-            assert_ne!(q.canonical_json(), p.canonical_json(), "{}", q.family());
+        for collective in Collective::ALL {
+            let mesh = collective_mesh_row(&spec, collective).expect("mesh collective runs");
+            let sca = collective_sca_row(&spec, collective).expect("sca collective runs");
+            assert!(mesh.cycles > 0 && sca.cycles > 0, "{collective:?}");
+            assert_eq!(
+                (mesh.geometry.as_str(), sca.geometry.as_str()),
+                ("4x4", "p16")
+            );
+            let again = collective_mesh_row(&spec, collective).unwrap();
+            assert_eq!(mesh.fingerprint, again.fingerprint, "{collective:?} mesh");
+            let again = collective_sca_row(&spec, collective).unwrap();
+            assert_eq!(sca.fingerprint, again.fingerprint, "{collective:?} sca");
+            // The torus is a different deterministic result, not a crash.
+            let wrapped = collective_mesh_row(&torus, collective).unwrap();
+            assert_eq!(wrapped.geometry, "4x4t");
+            assert_ne!(
+                wrapped.fingerprint, mesh.fingerprint,
+                "{collective:?} torus"
+            );
         }
+    }
+
+    #[test]
+    fn table3_cache_key_separates_spec_and_deadline() {
+        let key = table3_cache_key(&tiny(), None);
+        assert_eq!(key, table3_cache_key(&tiny(), None), "the key is stable");
+        for other in [
+            Table3Spec {
+                procs: 64,
+                ..tiny()
+            },
+            Table3Spec {
+                row_len: 16,
+                ..tiny()
+            },
+        ] {
+            assert_ne!(key, table3_cache_key(&other, None), "{other:?}");
+        }
+        assert_ne!(key, table3_cache_key(&tiny(), Some(0.0)));
+        assert_ne!(
+            table3_cache_key(&tiny(), Some(0.0)),
+            table3_cache_key(&tiny(), Some(1.0))
+        );
     }
 
     #[test]
@@ -1543,8 +1058,9 @@ mod tests {
     #[test]
     fn full_matrix_runs_without_reference_and_labels_every_row() {
         let spec = FullMatrixSpec {
+            quick: true,
+            fidelity: FidelityPolicy::auto(),
             reference: false,
-            ..FullMatrixSpec::quick()
         };
         let (result, timing) = run_full_matrix(&spec, None, None).unwrap();
         assert_eq!(result.rows.len(), 21);
@@ -1574,69 +1090,41 @@ mod tests {
 
     #[test]
     fn tiny_specs_run_to_deterministic_json() {
-        let specs = [
-            JobSpec::Table3(tiny()),
-            JobSpec::PerfMesh(PerfMeshSpec {
-                procs: 16,
-                row_len: 4,
-                policy: "Xy".to_string(),
-                t_p: 1,
-            }),
-            JobSpec::AblateFaults(AblateFaultsSpec {
-                rates: vec![0.0, 0.01],
-                procs: 16,
-                row_len: 8,
-                gathers: 2,
-            }),
-            JobSpec::CrosscheckModels(CrosscheckSpec {
-                procs: 4,
-                n: 16,
-                ks: vec![1, 2],
-            }),
-        ];
-        for spec in specs {
-            let (a, regs) = spec.run(false, None).expect("tiny spec runs");
-            let (b, _) = spec.run(false, None).expect("rerun");
-            assert_eq!(
-                a,
-                b,
-                "{}: result bytes must be deterministic",
-                spec.family()
-            );
-            assert!(regs.is_empty());
-            assert!(!a.is_empty());
-        }
-    }
-
-    #[test]
-    fn crosscheck_rows_pass_their_tolerance() {
-        let rows = run_crosscheck_model2(
-            &CrosscheckSpec {
-                procs: 4,
-                n: 16,
-                ks: vec![1, 4],
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(rows.len(), 4, "two checks per k");
-        for r in &rows {
-            assert!(r.pass, "{}@{}: rel_err {}", r.check, r.point, r.rel_err);
-        }
+        let spec = AblateFaultsSpec {
+            rates: vec![0.0, 0.01],
+            procs: 16,
+            row_len: 8,
+            gathers: 2,
+        };
+        let points = run_ablate_faults(&spec, None).expect("tiny sweep runs");
+        let again = run_ablate_faults(&spec, None).expect("rerun");
+        assert_eq!(
+            serde_json::to_string_pretty(&points).unwrap(),
+            serde_json::to_string_pretty(&again).unwrap(),
+            "ablate_faults result bytes must be deterministic"
+        );
+        assert_eq!(points.len(), 2, "one point per rate");
+        assert_eq!(points[0].total_retries, 0, "rate 0 injects nothing");
     }
 
     #[test]
     fn supervised_work_caches() {
         let cache = Arc::new(ResultCache::new());
-        let spec = JobSpec::Table3(tiny());
-        let first = supervised_work(spec.clone(), None, Arc::clone(&cache))(Interrupt::new())
-            .expect("tiny job runs");
+        let job = |timeout_s| table3_work(tiny(), timeout_s, Arc::clone(&cache))(Interrupt::new());
+        let first = job(None).expect("tiny job runs");
         assert!(!first.cached);
-        let again =
-            supervised_work(spec, None, Arc::clone(&cache))(Interrupt::new()).expect("cache hit");
+        let (row, _) = run_table3(&tiny(), false, None).unwrap();
+        assert_eq!(first.json, serde_json::to_string_pretty(&row).unwrap());
+        let again = job(None).expect("cache hit");
         assert!(again.cached);
         assert_eq!(first.json, again.json, "byte-identical from the cache");
         assert_eq!(first.fingerprint, again.fingerprint);
+        // Another deadline is another key: a miss that simulates again.
+        let timed = job(Some(3600.0)).expect("generous deadline runs");
+        assert!(!timed.cached);
+        assert_eq!(timed.fingerprint, first.fingerprint);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 2));
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //! flags are rejected with a usage message and exit code 2, so a typo
 //! cannot silently run the wrong configuration.
 //!
+//! Each table, figure and ablation is declared once, as its bin. Beside the
+//! runner, [`jobs`] holds the experiment cores several bins share plus the
+//! supervised Table III job body `run_batch` runs under [`supervisor`] with
+//! the exact result [`cache`]; [`crosscheck`] holds the conformance
+//! oracle's helpers and [`fidelity`] the multi-fidelity engine.
+//!
 //! ```no_run
 //! use bench::{BenchError, Experiment};
 //!

@@ -115,8 +115,9 @@ fn auto_matrix_agrees_with_full_simulation_within_envelopes() {
     // validated envelope against the measured value.
     let auto = run_full_matrix(
         &FullMatrixSpec {
+            quick: true,
+            fidelity: FidelityPolicy::auto(),
             reference: false,
-            ..FullMatrixSpec::quick()
         },
         None,
         None,
@@ -124,9 +125,9 @@ fn auto_matrix_agrees_with_full_simulation_within_envelopes() {
     .expect("auto matrix runs");
     let sim = run_full_matrix(
         &FullMatrixSpec {
-            fidelity: "cycle_accurate".to_string(),
+            quick: true,
+            fidelity: FidelityPolicy::CycleAccurate,
             reference: false,
-            ..FullMatrixSpec::quick()
         },
         None,
         None,

@@ -10,8 +10,18 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 
-fn out_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("bench_run_batch_{tag}_{}", std::process::id()))
+/// A results directory that is removed when the guard drops — also when an
+/// assertion fails — so no run leaves files behind in the temp dir.
+struct ResultsDir(PathBuf);
+
+impl Drop for ResultsDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn out_dir(tag: &str) -> ResultsDir {
+    ResultsDir(std::env::temp_dir().join(format!("bench_run_batch_{tag}_{}", std::process::id())))
 }
 
 /// Run `bin --quick` with its results under `dir`; panics on a nonzero exit.
@@ -50,10 +60,10 @@ fn batch_rows(dir: &Path) -> Vec<(String, String, Option<String>)> {
 fn quick_batch_reports_four_outcomes_and_matches_the_direct_bin() {
     let batch = out_dir("quick");
     let direct = out_dir("direct");
-    run_quick(env!("CARGO_BIN_EXE_run_batch"), &batch);
-    run_quick(env!("CARGO_BIN_EXE_table3_transpose"), &direct);
+    run_quick(env!("CARGO_BIN_EXE_run_batch"), &batch.0);
+    run_quick(env!("CARGO_BIN_EXE_table3_transpose"), &direct.0);
 
-    let rows = batch_rows(&batch);
+    let rows = batch_rows(&batch.0);
     let outcomes: Vec<(&str, &str)> = rows
         .iter()
         .map(|(job, outcome, _)| (job.as_str(), outcome.as_str()))
@@ -74,15 +84,12 @@ fn quick_batch_reports_four_outcomes_and_matches_the_direct_bin() {
         "pass and cached must share one fingerprint"
     );
 
-    let supervised = std::fs::read(batch.join("batch/table3.json")).expect("batch result");
-    let direct_bytes = std::fs::read(direct.join("table3.json")).expect("direct result");
+    let supervised = std::fs::read(batch.0.join("batch/table3.json")).expect("batch result");
+    let direct_bytes = std::fs::read(direct.0.join("table3.json")).expect("direct result");
     assert!(
         supervised == direct_bytes,
         "supervised result differs from the direct bin's table3.json"
     );
-
-    let _ = std::fs::remove_dir_all(&batch);
-    let _ = std::fs::remove_dir_all(&direct);
 }
 
 /// Full scale (paper-size Table III), so the interrupt lands
@@ -92,7 +99,7 @@ fn quick_batch_reports_four_outcomes_and_matches_the_direct_bin() {
 fn sigint_mid_simulation_drains_to_exit_130() {
     let dir = out_dir("sigint");
     let mut child = Command::new(env!("CARGO_BIN_EXE_run_batch"))
-        .env("PSYNC_RESULTS_DIR", &dir)
+        .env("PSYNC_RESULTS_DIR", &dir.0)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -143,7 +150,7 @@ fn sigint_mid_simulation_drains_to_exit_130() {
     reader.join().expect("stderr reader");
     assert_eq!(code, Some(130), "SIGINT drain exits 130");
 
-    let rows = batch_rows(&dir);
+    let rows = batch_rows(&dir.0);
     assert_eq!(rows.len(), 4, "{rows:?}");
     for (job, outcome, _) in &rows {
         assert!(
@@ -151,5 +158,4 @@ fn sigint_mid_simulation_drains_to_exit_130() {
             "{job} not drained as cancelled: {outcome}"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,16 +1,27 @@
-//! Subprocess tests for the shared `--timeout-s` flag (ISSUE 7 satellite):
-//! strict parsing on every harness bin, and end-to-end deadline
-//! cancellation surfacing as a structured nonzero exit.
+//! Subprocess tests for the shared `--timeout-s` flag: strict parsing on
+//! every harness bin, and end-to-end deadline cancellation surfacing as a
+//! structured nonzero exit.
 
+use std::path::PathBuf;
 use std::process::Command;
 
+/// A results directory that is removed when the guard drops, so no run
+/// leaves files behind in the temp dir.
+struct ResultsDir(PathBuf);
+
+impl Drop for ResultsDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn spawn(bin_exe: &str, args: &[&str], tag: &str) -> (i32, String) {
+    let dir = ResultsDir(
+        std::env::temp_dir().join(format!("bench_timeout_{tag}_{}", std::process::id())),
+    );
     let out = Command::new(bin_exe)
         .args(args)
-        .env(
-            "PSYNC_RESULTS_DIR",
-            std::env::temp_dir().join(format!("bench_timeout_{tag}_{}", std::process::id())),
-        )
+        .env("PSYNC_RESULTS_DIR", &dir.0)
         .output()
         .expect("harness binary spawns");
     (
